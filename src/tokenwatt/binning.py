@@ -12,12 +12,12 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from . import _kernels
-from .core import Bin, BinGrid, Request, ValidationError
+from .core import Bin, BinGrid, Request, RequestColumns, ValidationError
 
 
 class Overflow(enum.Enum):
@@ -116,10 +116,8 @@ def bin_workload(requests: Iterable[Request], grid: BinGrid | None = None) -> Bi
     """Histogram a request trace over the grid (default grid if omitted)."""
     if grid is None:
         grid = BinGrid()
-    reqs = requests if isinstance(requests, Sequence) else list(requests)
-    inputs = np.fromiter((r.input_tokens for r in reqs), dtype=np.int64, count=len(reqs))
-    outputs = np.fromiter((r.output_tokens for r in reqs), dtype=np.int64, count=len(reqs))
-    return bin_arrays(inputs, outputs, grid)
+    columns = RequestColumns.of(requests)
+    return bin_arrays(columns.inputs, columns.outputs, grid)
 
 
 def write_binned_csv(workload: BinnedWorkload, path_or_buf) -> None:

@@ -7,9 +7,12 @@ at file and CLI boundaries.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 J_PER_KWH = 3.6e6
 J_PER_WH = 3.6e3
@@ -37,6 +40,47 @@ class Request:
                 f"token counts must be nonnegative, got "
                 f"({self.input_tokens}, {self.output_tokens})"
             )
+
+
+class RequestColumns(Sequence):
+    """Read-only sequence of Requests stored as two int64 token columns.
+
+    A loaded trace costs 16 bytes per request; indexing or iterating builds
+    Requests on demand, while binning and statistics read `inputs` and
+    `outputs` directly.
+    """
+
+    __slots__ = ("inputs", "outputs")
+
+    def __init__(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+        self.inputs = np.asarray(inputs, dtype=np.int64)
+        self.outputs = np.asarray(outputs, dtype=np.int64)
+
+    @classmethod
+    def of(cls, requests: Iterable[Request]) -> "RequestColumns":
+        """The columns of `requests`, built unless it already is a RequestColumns."""
+        if isinstance(requests, RequestColumns):
+            return requests
+        reqs = requests if isinstance(requests, Sequence) else list(requests)
+        n = len(reqs)
+        return cls(np.fromiter((r.input_tokens for r in reqs), dtype=np.int64, count=n),
+                   np.fromiter((r.output_tokens for r in reqs), dtype=np.int64, count=n))
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return Request(int(self.inputs[index]), int(self.outputs[index]))
+
+    def __iter__(self):
+        return map(Request, self.inputs.tolist(), self.outputs.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True, order=True)

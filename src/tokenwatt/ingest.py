@@ -2,24 +2,38 @@
 
 Traces arrive as csv or jsonl with per-request input/output token counts
 already computed (no tokenization here). Parsing is streaming and
-single-pass; malformed rows abort the run unless permissive mode is on, in
-which case they are skipped and reported.
+single-pass into two int64 columns; malformed rows abort the run unless
+permissive mode is on, in which case they are skipped and reported.
+
+A csv trace is read in chunks of _CHUNK_LINES physical lines. Each chunk's
+token columns come from one np.loadtxt call; a chunk that holds a quote
+character or a line longer than the csv module's field size limit, or that
+loadtxt cannot parse exactly (a bad, negative or missing value), goes
+through the csv row parser instead, which gives each malformed row its
+physical line number and message, and fails on an oversized field as
+csv.DictReader does.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Request, ValidationError
+from .core import Request, RequestColumns, ValidationError
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
+
+_CHUNK_LINES = 1 << 16
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -52,7 +66,7 @@ class RowError:
 class TraceLoad:
     """Result of parsing a trace: requests in file order plus skipped rows."""
 
-    requests: list[Request]
+    requests: RequestColumns
     malformed: list[RowError]
 
     @property
@@ -73,26 +87,34 @@ class TraceStats:
 
 
 def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
-    """Parse a trace file into Requests.
+    """Parse a trace file into token columns, viewed as Requests.
 
     Raises on any malformed row unless `permissive`, in which case bad rows
     are skipped and returned in .malformed. Row order is preserved.
     """
     if source.path == "-":
-        lines = sys.stdin
+        # decode stdin as a trace file is decoded: strict UTF-8 less any
+        # byte-order mark, newlines kept
+        buffer = getattr(sys.stdin, "buffer", None)
+        stream = sys.stdin if buffer is None else io.TextIOWrapper(
+            buffer, encoding="utf-8-sig", newline="")
     else:
         p = Path(source.path)
         if not p.exists():
             raise ValidationError(f"trace file not found: {p}")
-        lines = p.open("r", encoding="utf-8", newline="")
+        stream = p.open("r", encoding="utf-8-sig", newline="")
+    parse = _parse_csv if source.format == "generic-csv" else _parse_jsonl
     try:
-        if source.format == "generic-csv":
-            requests, malformed = _parse_csv(lines, source)
-        else:
-            requests, malformed = _parse_jsonl(lines, source)
+        requests, malformed = parse(stream, source)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{source.path}: not valid UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{source.path}: unreadable csv ({exc})") from None
     finally:
-        if lines is not sys.stdin:
-            lines.close()
+        if source.path != "-":
+            stream.close()
+        elif stream is not sys.stdin:
+            stream.detach()  # closing the wrapper would close sys.stdin
     if malformed and not permissive:
         first = malformed[0]
         raise ValidationError(
@@ -112,38 +134,98 @@ def _token_value(raw, column: str) -> int:
             raise ValidationError(f"column {column!r} is not an integer: {raw!r}") from None
     if raw < 0:
         raise ValidationError(f"column {column!r} is negative: {raw}")
+    if raw > _INT64_MAX:
+        raise ValidationError(f"column {column!r} exceeds the int64 range: {raw}")
     return raw
 
 
-def _parse_csv(lines, source: TraceSource):
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
+def _parse_csv(lines: Iterator[str], source: TraceSource):
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
         raise ValidationError(f"{source.path}: empty file, expected a header row")
-    in_col = source.column_map["input_tokens"]
-    out_col = source.column_map["output_tokens"]
-    for col in (in_col, out_col):
-        if col not in reader.fieldnames:
-            raise ValidationError(
-                f"{source.path}: missing column {col!r}; header has {reader.fieldnames}"
-            )
-    requests: list[Request] = []
+    # a repeated name means its last column, as with csv.DictReader
+    index = {name: i for i, name in enumerate(header)}
+    columns = []
+    for key in ("input_tokens", "output_tokens"):
+        col = source.column_map[key]
+        if col not in index:
+            raise ValidationError(f"{source.path}: missing column {col!r}; header has {header}")
+        columns.append((index[col], col))
+    usecols = tuple(i for i, _ in columns)
+    inputs: list[np.ndarray] = []
+    outputs: list[np.ndarray] = []
     malformed: list[RowError] = []
+    line = reader.line_num
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        block = _parse_chunk(chunk, usecols)
+        if block is None:
+            block, read = _parse_rows(chain(chunk, lines), len(chunk), line, columns, malformed)
+        else:
+            read = len(chunk)
+        line += read
+        inputs.append(block[:, 0])
+        outputs.append(block[:, 1])
+    return RequestColumns(_concat(inputs), _concat(outputs)), malformed
+
+
+def _parse_chunk(chunk: list[str], usecols: tuple[int, int]):
+    """(rows, 2) token block of a chunk from one numpy call, or None when
+    the chunk needs the row parser."""
+    rows = len(chunk) - chunk.count("\n") - chunk.count("\r\n") - chunk.count("\r")
+    if rows == 0:  # loadtxt warns on input with no data
+        return np.empty((0, 2), dtype=np.int64)
+    if '"' in "".join(chunk) or max(map(len, chunk)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            # older numpy parses "1.5" as 1 with only a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            block = np.loadtxt(chunk, delimiter=",", dtype=np.int64, usecols=usecols,
+                               comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(block) != rows or block.min() < 0:
+        return None
+    return block
+
+
+def _parse_rows(lines: Iterator[str], stop: int, first_line: int, columns,
+                malformed: list[RowError]) -> tuple[np.ndarray, int]:
+    """Parse csv records until `stop` physical lines are read and the record
+    in progress ends; return the (rows, 2) token block and the lines read.
+
+    A quoted record may run past `stop`; `first_line` is the number of
+    lines before the first one read, so errors carry file line numbers.
+    """
+    (in_idx, in_col), (out_idx, out_col) = columns
+    inputs: list[int] = []
+    outputs: list[int] = []
+    reader = csv.reader(lines)
     for row in reader:
-        line = reader.line_num
-        try:
-            requests.append(Request(
-                input_tokens=_token_value(row.get(in_col), in_col),
-                output_tokens=_token_value(row.get(out_col), out_col),
-            ))
-        except ValidationError as exc:
-            malformed.append(RowError(line=line, message=str(exc)))
-    return requests, malformed
+        if row:  # csv.DictReader skips blank lines
+            try:
+                i = _token_value(row[in_idx] if in_idx < len(row) else None, in_col)
+                o = _token_value(row[out_idx] if out_idx < len(row) else None, out_col)
+            except ValidationError as exc:
+                malformed.append(RowError(line=first_line + reader.line_num, message=str(exc)))
+            else:
+                inputs.append(i)
+                outputs.append(o)
+        if reader.line_num >= stop:
+            break
+    return np.array((inputs, outputs), dtype=np.int64).T, reader.line_num
 
 
-def _parse_jsonl(lines, source: TraceSource):
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _parse_jsonl(lines: Iterator[str], source: TraceSource):
     in_col = source.column_map["input_tokens"]
     out_col = source.column_map["output_tokens"]
-    requests: list[Request] = []
+    inputs: list[int] = []
+    outputs: list[int] = []
     malformed: list[RowError] = []
     for line_num, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -155,13 +237,15 @@ def _parse_jsonl(lines, source: TraceSource):
             for col in (in_col, out_col):
                 if col not in obj:
                     raise ValidationError(f"missing member {col!r}")
-            requests.append(Request(
-                input_tokens=_token_value(obj[in_col], in_col),
-                output_tokens=_token_value(obj[out_col], out_col),
-            ))
-        except (json.JSONDecodeError, ValidationError) as exc:
+            i = _token_value(obj[in_col], in_col)
+            o = _token_value(obj[out_col], out_col)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError and ValidationError are ValueErrors
             malformed.append(RowError(line=line_num, message=str(exc)))
-    return requests, malformed
+        else:
+            inputs.append(i)
+            outputs.append(o)
+    return RequestColumns(np.array(inputs, dtype=np.int64),
+                          np.array(outputs, dtype=np.int64)), malformed
 
 
 def compute_stats(values: Iterable[int]) -> TraceStats:
@@ -176,7 +260,7 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
         raise ValidationError("cannot compute statistics of an empty sequence")
     if arr.min() < 0:
         raise ValidationError("token counts must be nonnegative")
-    arr = np.sort(arr.astype(np.int64))
+    arr = np.sort(arr.astype(np.int64, copy=False))
     n = int(arr.size)
     p99_rank = -((-99 * n) // 100)  # ceil(0.99 * n) in exact integer arithmetic
     return TraceStats(
@@ -193,6 +277,5 @@ def summarize_trace(requests: Sequence[Request]) -> tuple[TraceStats, TraceStats
     """Independent input-column and output-column statistics for a trace."""
     if not requests:
         raise ValidationError("cannot summarize an empty trace")
-    inputs = np.fromiter((r.input_tokens for r in requests), dtype=np.int64, count=len(requests))
-    outputs = np.fromiter((r.output_tokens for r in requests), dtype=np.int64, count=len(requests))
-    return compute_stats(inputs), compute_stats(outputs)
+    columns = RequestColumns.of(requests)
+    return compute_stats(columns.inputs), compute_stats(columns.outputs)

@@ -3,6 +3,18 @@ import pytest
 
 from tokenwatt import BinGrid, HardwareSpec, ModelConfig
 
+# Property tests draw the same examples on every run, with no time limit per
+# example, and stay within a few seconds each. Without hypothesis they skip
+# and the rest of the suite still runs.
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("tokenwatt", derandomize=True, deadline=None, max_examples=100,
+                              database=None)
+    settings.load_profile("tokenwatt")
+
 # 3-request fixture with hand-computed expectations, used across CLI and
 # acceptance tests: bins (256, 8) x2 and (1024, 64) x1; vllm fractional
 # total 1.0 + 5.0 = 6.0 J (ceiling 12.0 J); naive total 6.0 + 14.0 = 20.0 J.

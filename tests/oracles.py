@@ -2,10 +2,12 @@
 
 These intentionally avoid the closed forms and vectorized paths in the
 package: FLOPs are enumerated matrix by matrix and token by token, binning
-does a linear minimal-cap search, and statistics come from a full sort plus
-textbook formulas.
+does a linear minimal-cap search, statistics come from a full sort plus
+textbook formulas, and csv traces are read one csv.DictReader row at a time.
 """
 
+import csv
+import io
 import math
 
 from tokenwatt import Bin, ModelConfig, Overflow
@@ -82,3 +84,37 @@ def oracle_stats(values) -> dict:
         "p99": ordered[p99_rank - 1],
         "max": ordered[-1],
     }
+
+
+def _oracle_token(raw, column: str) -> int:
+    if raw is None:
+        raise ValueError(f"column {column!r} is not an integer: None")
+    try:
+        value = int(raw.strip())
+    except ValueError:
+        raise ValueError(f"column {column!r} is not an integer: {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"column {column!r} is negative: {value}")
+    if value >= 2**63:
+        raise ValueError(f"column {column!r} exceeds the int64 range: {value}")
+    return value
+
+
+def oracle_parse_csv(text: str, in_col: str = "input_tokens",
+                     out_col: str = "output_tokens") -> tuple[list, list]:
+    """([(input, output), ...], [(line, message), ...]) of a csv trace body.
+
+    One csv.DictReader row at a time, as a file opened with newline="" reads:
+    blank lines are skipped, a repeated column name means its last column, a
+    missing field is None, and an error carries the last physical line of its
+    record.
+    """
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    rows, errors = [], []
+    for record in reader:
+        try:
+            rows.append((_oracle_token(record.get(in_col), in_col),
+                         _oracle_token(record.get(out_col), out_col)))
+        except ValueError as exc:
+            errors.append((reader.line_num, str(exc)))
+    return rows, errors

@@ -246,3 +246,41 @@ def test_permissive_note_on_stderr(fixture_paths, capsys):
     captured = capsys.readouterr()
     assert "skipped 1 malformed" in captured.err
     assert json.loads(captured.out)["count"] == 1
+
+
+def test_token_count_beyond_int64_is_a_malformed_row(tmp_path, capsys):
+    trace = tmp_path / "huge.csv"
+    trace.write_text("input_tokens,output_tokens\n99999999999999999999999,3\n5,1\n",
+                     encoding="utf-8")
+    assert run("bin", "--trace", str(trace)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "line 2" in err and "int64" in err
+    assert run("stats", "--trace", str(trace), "--permissive") == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: skipped 1 malformed rows\n"
+    assert json.loads(captured.out)["count"] == 1
+
+
+def test_non_utf8_trace_is_a_data_error(tmp_path, monkeypatch, capsys):
+    raw = b"input_tokens,output_tokens\n\xff\xfe,1\n"
+    trace = tmp_path / "latin.csv"
+    trace.write_bytes(raw)
+    assert run("stats", "--trace", str(trace), "--permissive") == 2
+    assert capsys.readouterr().err == f"error: {trace}: not valid UTF-8 (invalid start byte)\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    assert run("stats", "--trace", "-") == 2
+    assert capsys.readouterr().err == "error: -: not valid UTF-8 (invalid start byte)\n"
+
+
+def test_utf8_bom_header_is_stripped(tmp_path, monkeypatch, capsys):
+    (tmp_path / "plain.csv").write_text(FIXTURE_TRACE, encoding="utf-8")
+    assert run("stats", "--trace", str(tmp_path / "plain.csv"), "--dataset", "d") == 0
+    want = capsys.readouterr().out
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff" + FIXTURE_TRACE, encoding="utf-8")
+    assert run("stats", "--trace", str(bom), "--dataset", "d") == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bom.read_bytes())))
+    assert run("stats", "--trace", "-", "--dataset", "d") == 0
+    assert capsys.readouterr().out == want

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tokenwatt import (
@@ -15,7 +16,7 @@ from tokenwatt import (
     ValidationError,
     derive_param_count,
 )
-from tokenwatt.core import read_config_file
+from tokenwatt.core import RequestColumns, read_config_file
 
 
 def test_unit_constants():
@@ -163,3 +164,18 @@ def test_config_from_file_rejects_unknown_and_missing_keys(tmp_path):
     path.write_text("name = x\ntdp = 1\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         HardwareSpec.from_file(path)
+
+
+def test_request_columns_view():
+    cols = RequestColumns(np.array([10, 0, 7]), np.array([2, 0, 3]))
+    assert len(cols) == 3 and cols
+    assert cols[0] == Request(10, 2) and cols[-1] == Request(7, 3)
+    assert cols[1:] == [Request(0, 0), Request(7, 3)]
+    assert list(cols) == [Request(10, 2), Request(0, 0), Request(7, 3)]
+    assert cols == [Request(10, 2), Request(0, 0), Request(7, 3)]
+    assert cols != [Request(10, 2)]
+    assert RequestColumns.of(cols) is cols
+    assert RequestColumns.of(iter(list(cols))) == list(cols)
+    with pytest.raises(IndexError):
+        cols[3]
+    assert not RequestColumns(np.array([], dtype=np.int64), np.array([], dtype=np.int64))

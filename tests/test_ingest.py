@@ -102,9 +102,39 @@ def test_jsonl_rejects_bool_float_and_missing(tmp_path):
     assert load.malformed_count == 3
 
 
+def test_token_count_beyond_int64_is_malformed(tmp_path):
+    huge = 10**23
+    src = _jsonl_source(tmp_path, [
+        {"input_tokens": huge, "output_tokens": 2},
+        {"input_tokens": 4, "output_tokens": 2**63 - 1},
+    ])
+    load = load_trace(src, permissive=True)
+    assert load.requests == [Request(4, 2**63 - 1)]
+    assert [(e.line, e.message) for e in load.malformed] == [
+        (1, f"column 'input_tokens' exceeds the int64 range: {huge}")]
+    src = _csv_source(tmp_path, f"input_tokens,output_tokens\n1,{huge}\n")
+    with pytest.raises(ValidationError, match="line 2: column 'output_tokens' exceeds"):
+        load_trace(src)
+
+
+def test_csv_field_over_the_csv_module_limit(tmp_path):
+    src = _csv_source(tmp_path, 'input_tokens,output_tokens\n1,"' + "x" * 200_000 + '"\n')
+    with pytest.raises(ValidationError, match="unreadable csv"):
+        load_trace(src, permissive=True)
+
+
 def test_jsonl_non_object_row(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('[1, 2]\n{"input_tokens": 1, "output_tokens": 2}\n', encoding="utf-8")
+    load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
+    assert load.requests == [Request(1, 2)]
+    assert load.malformed[0].line == 1
+
+
+def test_jsonl_too_deeply_nested_row(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("[" * 200_000 + '\n{"input_tokens": 1, "output_tokens": 2}\n',
+                    encoding="utf-8")
     load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
     assert load.requests == [Request(1, 2)]
     assert load.malformed[0].line == 1

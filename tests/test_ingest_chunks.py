@@ -1,0 +1,134 @@
+"""Chunked columnar ingest against one-row-at-a-time references.
+
+The csv reader parses blocks of physical lines with numpy and hands a block
+to the row parser when it holds a quote, a line longer than the csv module's
+field size limit or a value numpy cannot take as is; chunk sizes 1, 2 and 7
+put quoted multi-line records, CRLF pairs and blank runs across chunk
+boundaries.
+"""
+
+import csv
+import warnings
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from tokenwatt import Request, TraceSource, ValidationError, load_trace
+from tokenwatt import ingest
+from oracles import oracle_parse_csv
+
+CHUNK_LINES = (1, 2, 7, 1 << 16)
+
+_GOOD = st.integers(0, 10**6).map(str)
+_ODD = st.sampled_from([
+    "", "-3", "1.5", "abc", " 7 ", "+4", "-0", "1_0", "\t5", "٣",
+    "99999999999999999999999", "9223372036854775807", "9223372036854775808",
+    "00000000000000000042",
+])
+_QUOTED = st.text(alphabet='0123456789,\r\n x"', max_size=6).map(
+    lambda t: '"' + t.replace('"', '""') + '"')
+_STRAY_QUOTE = st.sampled_from(['"', '4"2', '"7'])
+_CELL = st.one_of(_GOOD, _GOOD, _ODD, _QUOTED, _STRAY_QUOTE)
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_bodies(draw) -> str:
+    """A header naming both token columns (among others, maybe repeated)
+    and rows with bad, quoted, missing and extra cells and blank lines."""
+    extra = draw(st.lists(st.sampled_from(["input_tokens", "output_tokens", "x"]), max_size=3))
+    header = draw(st.permutations(["input_tokens", "output_tokens", *extra]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 30))):
+        width = draw(st.sampled_from([0, len(header) - 1, len(header), len(header), len(header) + 1]))
+        lines.append(",".join(draw(st.lists(_CELL, min_size=width, max_size=width))))
+    body = "".join(line + draw(_EOL) for line in lines)
+    return body if draw(st.booleans()) else body.rstrip("\r\n")
+
+
+@pytest.mark.parametrize("chunk_lines", CHUNK_LINES)
+def test_chunked_csv_matches_row_oracle(tmp_path, chunk_lines):
+    path = tmp_path / "trace.csv"
+
+    # a field size limit below the longest generated cell (but not below a
+    # header name) makes some bodies unreadable to the csv module
+    @given(body=csv_bodies(), field_limit=st.sampled_from([csv.field_size_limit(), 16]))
+    def check(body, field_limit):
+        path.write_text(body, encoding="utf-8", newline="")
+        source = TraceSource(path=str(path), format="generic-csv")
+        default_limit = csv.field_size_limit(field_limit)
+        try:
+            try:
+                rows, errors = oracle_parse_csv(body)
+            except csv.Error:
+                with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
+                        pytest.raises(ValidationError, match="unreadable csv"):
+                    load_trace(source, permissive=True)
+                return
+            with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+                load = load_trace(source, permissive=True)
+        finally:
+            csv.field_size_limit(default_limit)
+        cols = load.requests
+        assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
+        assert [(e.line, e.message) for e in load.malformed] == errors
+
+    check()
+
+
+def _csv_source(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    return TraceSource(path=str(path), format="generic-csv")
+
+
+def test_header_only_trace_is_empty(tmp_path):
+    load = load_trace(_csv_source(tmp_path, "input_tokens,output_tokens\n"))
+    assert load.requests == []
+    assert load.malformed == []
+
+
+def test_blank_only_chunk_warns_nothing(tmp_path, capsys):
+    # the second two-line chunk holds only blank lines
+    source = _csv_source(tmp_path, "input_tokens,output_tokens\n1,2\n5,6\n\n\r\n3,4\n")
+    with mock.patch.object(ingest, "_CHUNK_LINES", 2), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load = load_trace(source)
+    assert load.requests == [Request(1, 2), Request(5, 6), Request(3, 4)]
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+def test_repeated_column_name_reads_its_last_column(tmp_path):
+    source = _csv_source(tmp_path, "input_tokens,output_tokens,input_tokens\n1,2,3\n4,5\n")
+    load = load_trace(source, permissive=True)
+    assert load.requests == [Request(3, 2)]
+    assert [(e.line, e.message) for e in load.malformed] == [
+        (3, "column 'input_tokens' is not an integer: None")]
+
+
+def test_quoted_record_across_chunk_boundary(tmp_path):
+    text = 'input_tokens,output_tokens\r\n1,2\r\n\r\n"3\r\n",x\r\n5,"6"\r\nbad,1\r\n'
+    for chunk_lines in CHUNK_LINES:
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+            load = load_trace(_csv_source(tmp_path, text), permissive=True)
+        assert load.requests == [Request(1, 2), Request(5, 6)]
+        assert [(e.line, e.message) for e in load.malformed] == [
+            (5, "column 'output_tokens' is not an integer: 'x'"),
+            (7, "column 'input_tokens' is not an integer: 'bad'"),
+        ]
+
+
+
+@pytest.mark.parametrize("rest", ["1,2,3\n", "1,2,3\nbad,2,3\n"])
+def test_oversized_unread_field_fails_whatever_its_chunk_holds(tmp_path, rest):
+    # an unquoted cell past the csv module's limit in a column that is not read
+    text = "input_tokens,output_tokens,x\n4,5," + "y" * (csv.field_size_limit() + 1) + "\n" + rest
+    with pytest.raises(csv.Error):
+        oracle_parse_csv(text)
+    with pytest.raises(ValidationError, match="unreadable csv"):
+        load_trace(_csv_source(tmp_path, text), permissive=True)
