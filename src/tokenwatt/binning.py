@@ -8,16 +8,14 @@ downstream reports.
 from __future__ import annotations
 
 import enum
-import io
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
 
-from . import _kernels
 from .core import Bin, BinGrid, Request, RequestColumns, ValidationError
+from .csvio import format_csv, grid_meta, read_csv, write_csv
 
 
 class Overflow(enum.Enum):
@@ -94,13 +92,39 @@ class BinnedWorkload:
         )
 
 
+def bin_counts_numpy(
+    inputs: np.ndarray,
+    outputs: np.ndarray,
+    input_bins: np.ndarray,
+    output_bins: np.ndarray,
+) -> tuple[np.ndarray, int, int]:
+    """Vectorized ceiling-bin histogram.
+
+    Returns (counts[ni, no], excluded_input, excluded_output). A request over
+    both limits is tallied once, under excluded_input.
+    """
+    over_in = inputs > input_bins[-1]
+    over_out = ~over_in & (outputs > output_bins[-1])
+    ok = ~(over_in | over_out)
+    ii = np.searchsorted(input_bins, inputs[ok], side="left")
+    oi = np.searchsorted(output_bins, outputs[ok], side="left")
+    flat = ii * output_bins.shape[0] + oi
+    counts = np.bincount(flat, minlength=input_bins.shape[0] * output_bins.shape[0])
+    counts = counts.reshape(input_bins.shape[0], output_bins.shape[0]).astype(np.int64)
+    return counts, int(over_in.sum()), int(over_out.sum())
+
+
 def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> BinnedWorkload:
     """Bin parallel arrays of input/output token counts (the hot path)."""
     inputs = np.asarray(inputs, dtype=np.int64)
     outputs = np.asarray(outputs, dtype=np.int64)
+    if inputs.shape != outputs.shape:
+        raise ValidationError(
+            f"inputs and outputs must have equal length, got {inputs.shape} and {outputs.shape}"
+        )
     if inputs.size and (inputs.min() < 0 or outputs.min() < 0):
         raise ValidationError("token counts must be nonnegative")
-    counts2d, excl_in, excl_out = _kernels.bin_counts(
+    counts2d, excl_in, excl_out = bin_counts_numpy(
         inputs, outputs,
         np.asarray(grid.input_bins, dtype=np.int64),
         np.asarray(grid.output_bins, dtype=np.int64),
@@ -120,77 +144,42 @@ def bin_workload(requests: Iterable[Request], grid: BinGrid | None = None) -> Bi
     return bin_arrays(columns.inputs, columns.outputs, grid)
 
 
+BINNED_COLUMNS = ("input_cap", "output_cap", "count")
+
+
 def write_binned_csv(workload: BinnedWorkload, path_or_buf) -> None:
     """Serialize to csv: grid header comments, one row per nonzero bin,
     exclusion tallies as footer comments. Round-trips losslessly."""
-    buf = io.StringIO()
-    buf.write("# input_bins = " + ",".join(str(b) for b in workload.grid.input_bins) + "\n")
-    buf.write("# output_bins = " + ",".join(str(b) for b in workload.grid.output_bins) + "\n")
-    buf.write("input_cap,output_cap,count\n")
-    for b, c in workload.sorted_counts():
-        buf.write(f"{b.input_cap},{b.output_cap},{c}\n")
-    buf.write(f"# excluded_input = {workload.excluded_input}\n")
-    buf.write(f"# excluded_output = {workload.excluded_output}\n")
-    text = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        Path(path_or_buf).write_text(text, encoding="utf-8")
+    write_csv(path_or_buf, format_csv(
+        BINNED_COLUMNS,
+        [(b.input_cap, b.output_cap, c) for b, c in workload.sorted_counts()],
+        meta=grid_meta(workload.grid),
+        footer=[("excluded_input", workload.excluded_input),
+                ("excluded_output", workload.excluded_output)],
+    ))
+
+
+def _binned_row(fields: list[str], where: str) -> tuple[int, int, int]:
+    try:
+        return int(fields[0]), int(fields[1]), int(fields[2])
+    except ValueError:
+        raise ValidationError(f"{where}: non-integer field in {','.join(fields)!r}") from None
 
 
 def read_binned_csv(path_or_buf) -> BinnedWorkload:
     """Parse the csv produced by write_binned_csv."""
-    if hasattr(path_or_buf, "read"):
-        text = path_or_buf.read()
-        origin = "<stream>"
-    else:
-        p = Path(path_or_buf)
-        if not p.exists():
-            raise ValidationError(f"binned workload file not found: {p}")
-        text = p.read_text(encoding="utf-8")
-        origin = str(p)
-
-    meta: dict[str, str] = {}
-    rows: list[tuple[int, int, int]] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                meta[k.strip()] = v.strip()
-            continue
-        if not header_seen:
-            if line != "input_cap,output_cap,count":
-                raise ValidationError(
-                    f"{origin}:{lineno}: expected header 'input_cap,output_cap,count'"
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValidationError(f"{origin}:{lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            rows.append((int(parts[0]), int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ValidationError(f"{origin}:{lineno}: non-integer field in {line!r}") from None
-
-    for key in ("input_bins", "output_bins"):
-        if key not in meta:
-            raise ValidationError(f"{origin}: missing '# {key} = ...' header comment")
-    grid = BinGrid(
-        input_bins=tuple(int(x) for x in meta["input_bins"].split(",")),
-        output_bins=tuple(int(x) for x in meta["output_bins"].split(",")),
-    )
-    counts = {Bin(i, o): c for i, o, c in rows if c > 0}
-    if len(counts) != sum(1 for _, _, c in rows if c > 0):
-        raise ValidationError(f"{origin}: duplicate bin rows")
+    f = read_csv(path_or_buf, BINNED_COLUMNS, "binned workload file", _binned_row)
+    grid = f.grid()
+    if grid is None:
+        raise ValidationError(
+            f"{f.origin}: missing '# input_bins = ...' or '# output_bins = ...' header comment"
+        )
+    counts = {Bin(i, o): c for i, o, c in f.rows if c > 0}
+    if len(counts) != sum(1 for _, _, c in f.rows if c > 0):
+        raise ValidationError(f"{f.origin}: duplicate bin rows")
     return BinnedWorkload(
         grid=grid,
         counts=counts,
-        excluded_input=int(meta.get("excluded_input", "0")),
-        excluded_output=int(meta.get("excluded_output", "0")),
+        excluded_input=f.meta_int("excluded_input", 0),
+        excluded_output=f.meta_int("excluded_output", 0),
     )

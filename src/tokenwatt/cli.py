@@ -66,8 +66,9 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _trace_source(args) -> TraceSource:
-    return TraceSource(
+def _load_requests(args):
+    """The --trace requests; skipped malformed rows are noted on stderr."""
+    source = TraceSource(
         path=args.trace,
         format=args.trace_format,
         column_map={
@@ -75,6 +76,10 @@ def _trace_source(args) -> TraceSource:
             "output_tokens": args.output_column,
         },
     )
+    load = load_trace(source, permissive=args.permissive)
+    if load.malformed:
+        sys.stderr.write(f"note: skipped {load.malformed_count} malformed rows\n")
+    return load.requests
 
 
 def _dataset_name(args, path_attr: str = "trace") -> str:
@@ -93,22 +98,17 @@ def _load_workload(args) -> BinnedWorkload:
         if args.binned == "-":
             return read_binned_csv(sys.stdin)
         return read_binned_csv(args.binned)
-    load = load_trace(_trace_source(args), permissive=args.permissive)
-    if load.malformed:
-        sys.stderr.write(f"note: skipped {load.malformed_count} malformed rows\n")
-    return bin_workload(load.requests, parse_grid(args.grid))
+    return bin_workload(_load_requests(args), parse_grid(args.grid))
 
 
 def cmd_stats(args) -> int:
-    load = load_trace(_trace_source(args), permissive=args.permissive)
-    if load.malformed:
-        sys.stderr.write(f"note: skipped {load.malformed_count} malformed rows\n")
-    if not load.requests:
+    requests = _load_requests(args)
+    if not requests:
         raise ValidationError("trace contains no valid requests")
-    input_stats, output_stats = summarize_trace(load.requests)
+    input_stats, output_stats = summarize_trace(requests)
     report = TraceReport(
         dataset=_dataset_name(args),
-        count=len(load.requests),
+        count=len(requests),
         input_stats=input_stats,
         output_stats=output_stats,
     )
@@ -117,10 +117,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bin(args) -> int:
-    load = load_trace(_trace_source(args), permissive=args.permissive)
-    if load.malformed:
-        sys.stderr.write(f"note: skipped {load.malformed_count} malformed rows\n")
-    workload = bin_workload(load.requests, parse_grid(args.grid))
+    workload = bin_workload(_load_requests(args), parse_grid(args.grid))
     buf = io.StringIO()
     write_binned_csv(workload, buf)
     _emit(buf.getvalue(), args.out)
@@ -256,9 +253,14 @@ def _add_out(p, fmt: bool = True) -> None:
                        help="report serialization (default: json)")
 
 
-def _add_trace_flags(p, required: bool = True) -> None:
-    p.add_argument("--trace", required=required, metavar="FILE",
-                   help="request trace file, or - for stdin")
+def _add_trace_flags(p, binned: bool = False) -> None:
+    """--trace and how to read it; with `binned`, --binned may replace --trace."""
+    src = p.add_mutually_exclusive_group(required=True) if binned else p
+    src.add_argument("--trace", required=not binned, metavar="FILE",
+                     help="request trace file, or - for stdin")
+    if binned:
+        src.add_argument("--binned", metavar="FILE",
+                         help="pre-binned workload csv (from the bin subcommand), or - for stdin")
     p.add_argument("--trace-format", choices=TRACE_FORMATS, default="generic-csv",
                    help="trace encoding (default: generic-csv)")
     p.add_argument("--input-column", default="input_tokens", metavar="NAME",
@@ -269,15 +271,7 @@ def _add_trace_flags(p, required: bool = True) -> None:
                    help="skip malformed rows instead of aborting")
 
 
-def _add_workload_flags(p) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--trace", metavar="FILE", help="request trace file, or - for stdin")
-    src.add_argument("--binned", metavar="FILE",
-                     help="pre-binned workload csv (from the bin subcommand), or - for stdin")
-    p.add_argument("--trace-format", choices=TRACE_FORMATS, default="generic-csv")
-    p.add_argument("--input-column", default="input_tokens", metavar="NAME")
-    p.add_argument("--output-column", default="output_tokens", metavar="NAME")
-    p.add_argument("--permissive", action="store_true")
+def _add_grid(p) -> None:
     p.add_argument("--grid", metavar="SPEC",
                    help="bin caps as 'I1,I2,...:O1,O2,...' (default: standard grid)")
 
@@ -302,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bin", help="histogram a trace over the bin grid")
     _add_trace_flags(p)
-    p.add_argument("--grid", metavar="SPEC",
-                   help="bin caps as 'I1,I2,...:O1,O2,...' (default: standard grid)")
+    _add_grid(p)
     _add_out(p, fmt=False)
     p.set_defaults(func=cmd_bin)
 
     p = sub.add_parser("estimate", help="energy estimate against a measurement table")
-    _add_workload_flags(p)
+    _add_trace_flags(p, binned=True)
+    _add_grid(p)
     p.add_argument("--table", required=True, metavar="FILE", help="measurement table csv")
     p.add_argument("--backend", required=True, help="serving backend name in the table")
     p.add_argument("--device", required=True, help="device name in the table")
@@ -322,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("baseline", help="idealized lower-bound energy from a FLOPs model")
-    _add_workload_flags(p)
+    _add_trace_flags(p, binned=True)
+    _add_grid(p)
     p.add_argument("--model", required=True, metavar="FILE", help="model architecture config")
     p.add_argument("--hw", required=True, metavar="FILE", help="hardware spec config")
     p.add_argument("--dataset", metavar="NAME", help="dataset label (default: file stem)")
@@ -356,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of peak throughput actually achieved, in (0, 1]")
     p.add_argument("--decode-penalty", required=True, type=float,
                    help="energy multiplier on decode FLOPs, >= 1")
-    p.add_argument("--grid", metavar="SPEC",
-                   help="bin caps as 'I1,I2,...:O1,O2,...' (default: standard grid)")
+    _add_grid(p)
     p.add_argument("--backend", default="synthetic", help="backend name for the rows")
     p.add_argument("--device", default=None, help="device name (default: hw config name)")
     p.add_argument("--memory-bytes", type=float, default=40e9,

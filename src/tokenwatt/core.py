@@ -7,6 +7,8 @@ at file and CLI boundaries.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+INT64_MAX = int(np.iinfo(np.int64).max)
 J_PER_KWH = 3.6e6
 J_PER_WH = 3.6e3
 
@@ -35,10 +38,17 @@ class Request:
     output_tokens: int
 
     def __post_init__(self) -> None:
-        if self.input_tokens < 0 or self.output_tokens < 0:
+        # operator.index takes Python and numpy integers and refuses floats;
+        # bool is an int subclass and is refused by name
+        i, o = self.input_tokens, self.output_tokens
+        try:
+            ok = (type(i) is not bool and type(o) is not bool
+                  and 0 <= operator.index(i) <= INT64_MAX and 0 <= operator.index(o) <= INT64_MAX)
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValidationError(
-                f"token counts must be nonnegative, got "
-                f"({self.input_tokens}, {self.output_tokens})"
+                f"token counts must be nonnegative integers within int64, got ({i!r}, {o!r})"
             )
 
 
@@ -233,13 +243,13 @@ def derive_param_count(config: ModelConfig) -> int:
 
 @dataclass(frozen=True)
 class Energy:
-    """Nonnegative energy amount; canonical unit is joules."""
+    """Finite, nonnegative energy amount; canonical unit is joules."""
 
     joules: float
 
     def __post_init__(self) -> None:
-        if self.joules < 0:
-            raise ValidationError(f"energy must be nonnegative, got {self.joules} J")
+        if not 0 <= self.joules < math.inf:
+            raise ValidationError(f"energy must be finite and nonnegative, got {self.joules} J")
 
     @classmethod
     def from_wh(cls, wh: float) -> "Energy":
@@ -278,6 +288,11 @@ class Energy:
 
 
 ZERO_ENERGY = Energy(0.0)
+
+
+def joules_or_none(energy: Optional[Energy]) -> Optional[float]:
+    """The joules of an optional energy, None when it is absent."""
+    return None if energy is None else energy.joules
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:

@@ -63,12 +63,7 @@ def idealized_energy(hw: HardwareSpec, model: ModelConfig, workload: BinnedWorkl
     how the measured side charges whole bins. Excluded requests contribute
     nothing.
     """
-    total_flops = 0
-    for b, count in workload.sorted_counts():
-        if count == 0:
-            continue
-        total_flops += count * request_flops(model, b.input_cap, b.output_cap).total
-    return Energy(joules_per_flop(hw) * total_flops)
+    return Energy(joules_per_flop(hw) * workload_flops(model, workload).total)
 
 
 def workload_flops(model: ModelConfig, workload: BinnedWorkload) -> FlopsBreakdown:
@@ -76,8 +71,6 @@ def workload_flops(model: ModelConfig, workload: BinnedWorkload) -> FlopsBreakdo
     prefill = 0
     decode = 0
     for b, count in workload.sorted_counts():
-        if count == 0:
-            continue
         fb = request_flops(model, b.input_cap, b.output_cap)
         prefill += count * fb.prefill_flops
         decode += count * fb.decode_flops

@@ -28,12 +28,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Request, RequestColumns, ValidationError
+from .core import INT64_MAX, Request, RequestColumns, ValidationError
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
 
 _CHUNK_LINES = 1 << 16
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _token_value(raw, column: str) -> int:
             raise ValidationError(f"column {column!r} is not an integer: {raw!r}") from None
     if raw < 0:
         raise ValidationError(f"column {column!r} is negative: {raw}")
-    if raw > _INT64_MAX:
+    if raw > INT64_MAX:
         raise ValidationError(f"column {column!r} exceeds the int64 range: {raw}")
     return raw
 

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import Energy, ValidationError
+from .core import Energy, ValidationError, joules_or_none
+from .csvio import format_csv
 from .estimator import WorkloadEstimate
 from .ingest import TraceStats
 
@@ -205,20 +206,13 @@ def _comparison_json(c: Comparison) -> str:
 
 
 def _comparison_csv(c: Comparison) -> str:
-    lines = [
-        f"# dataset = {c.dataset}",
-        f"# mode = {c.mode}",
-        f"# baseline_j = {c.baseline.joules!r}",
-        f"# reference = {c.reference_label}",
-        f"# excluded_requests = {c.excluded_requests}",
-        "label,energy_j,pct_delta_vs_optimal,savings_vs_reference",
-    ]
-    for e in c.entries:
-        savings = "" if e.savings_vs_reference is None else repr(e.savings_vs_reference)
-        lines.append(
-            f"{e.label},{e.energy.joules!r},{e.pct_delta_vs_optimal!r},{savings}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_csv(
+        ("label", "energy_j", "pct_delta_vs_optimal", "savings_vs_reference"),
+        [(e.label, e.energy.joules, e.pct_delta_vs_optimal, e.savings_vs_reference)
+         for e in c.entries],
+        meta=[("dataset", c.dataset), ("mode", c.mode), ("baseline_j", c.baseline.joules),
+              ("reference", c.reference_label), ("excluded_requests", c.excluded_requests)],
+    )
 
 
 def _comparison_markdown(c: Comparison) -> str:
@@ -253,8 +247,8 @@ def _estimate_json(w: WorkloadEstimate) -> str:
         "device": w.device,
         "mode": w.mode,
         "total_j": w.total.joules,
-        "prefill_j": None if w.prefill_total is None else w.prefill_total.joules,
-        "decode_j": None if w.decode_total is None else w.decode_total.joules,
+        "prefill_j": joules_or_none(w.prefill_total),
+        "decode_j": joules_or_none(w.decode_total),
         "excluded_requests": w.excluded_requests,
         "per_bin": [
             {
@@ -264,8 +258,8 @@ def _estimate_json(w: WorkloadEstimate) -> str:
                 "max_batch": be.max_batch,
                 "batches": be.batches,
                 "energy_j": be.energy.joules,
-                "prefill_j": None if be.prefill_energy is None else be.prefill_energy.joules,
-                "decode_j": None if be.decode_energy is None else be.decode_energy.joules,
+                "prefill_j": joules_or_none(be.prefill_energy),
+                "decode_j": joules_or_none(be.decode_energy),
                 "provenance": be.provenance,
             }
             for be in w.per_bin
@@ -274,30 +268,21 @@ def _estimate_json(w: WorkloadEstimate) -> str:
 
 
 def _estimate_csv(w: WorkloadEstimate) -> str:
-    lines = [
-        f"# label = {w.label}",
-        f"# backend = {w.backend}",
-        f"# device = {w.device}",
-        f"# mode = {w.mode}",
-        f"# excluded_requests = {w.excluded_requests}",
-        "input_cap,output_cap,count,max_batch,batches,energy_j,prefill_j,decode_j,provenance",
-    ]
+    rows = [(be.bin.input_cap, be.bin.output_cap, be.count, be.max_batch, be.batches,
+             be.energy.joules, joules_or_none(be.prefill_energy), joules_or_none(be.decode_energy),
+             be.provenance) for be in w.per_bin]
     total_batches = 0.0
     for be in w.per_bin:
         total_batches += be.batches
-        prefill = "" if be.prefill_energy is None else repr(be.prefill_energy.joules)
-        decode = "" if be.decode_energy is None else repr(be.decode_energy.joules)
-        lines.append(
-            f"{be.bin.input_cap},{be.bin.output_cap},{be.count},{be.max_batch},"
-            f"{be.batches!r},{be.energy.joules!r},{prefill},{decode},{be.provenance}"
-        )
-    prefill = "" if w.prefill_total is None else repr(w.prefill_total.joules)
-    decode = "" if w.decode_total is None else repr(w.decode_total.joules)
-    lines.append(
-        f"TOTAL,,{w.total_requests},,{total_batches!r},{w.total.joules!r},"
-        f"{prefill},{decode},"
+    rows.append(("TOTAL", None, w.total_requests, None, total_batches, w.total.joules,
+                 joules_or_none(w.prefill_total), joules_or_none(w.decode_total), None))
+    return format_csv(
+        ("input_cap", "output_cap", "count", "max_batch", "batches", "energy_j",
+         "prefill_j", "decode_j", "provenance"),
+        rows,
+        meta=[("label", w.label), ("backend", w.backend), ("device", w.device),
+              ("mode", w.mode), ("excluded_requests", w.excluded_requests)],
     )
-    return "\n".join(lines) + "\n"
 
 
 def _estimate_markdown(w: WorkloadEstimate) -> str:
@@ -344,18 +329,16 @@ def _baseline_json(b: BaselineReport) -> str:
 
 
 def _baseline_csv(b: BaselineReport) -> str:
-    lines = [
-        "key,value",
-        f"dataset,{b.dataset}",
-        f"model,{b.model_name}",
-        f"optimal_j,{b.optimal.joules!r}",
-        f"j_per_flop,{b.j_per_flop!r}",
-        f"prefill_flops,{b.prefill_flops}",
-        f"decode_flops,{b.decode_flops}",
-        f"total_flops,{b.total_flops}",
-        f"excluded_requests,{b.excluded_requests}",
-    ]
-    return "\n".join(lines) + "\n"
+    return format_csv(("key", "value"), [
+        ("dataset", b.dataset),
+        ("model", b.model_name),
+        ("optimal_j", b.optimal.joules),
+        ("j_per_flop", b.j_per_flop),
+        ("prefill_flops", b.prefill_flops),
+        ("decode_flops", b.decode_flops),
+        ("total_flops", b.total_flops),
+        ("excluded_requests", b.excluded_requests),
+    ])
 
 
 def _baseline_markdown(b: BaselineReport) -> str:
@@ -393,15 +376,12 @@ def _stats_json(t: TraceReport) -> str:
 
 
 def _stats_csv(t: TraceReport) -> str:
-    lines = [
-        f"# dataset = {t.dataset}",
-        "column,count,mean,std,median,p99,max",
-    ]
-    for name, s in (("input", t.input_stats), ("output", t.output_stats)):
-        lines.append(
-            f"{name},{t.count},{s.mean!r},{s.std!r},{s.median!r},{s.p99!r},{s.max!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_csv(
+        ("column", "count", "mean", "std", "median", "p99", "max"),
+        [(name, t.count, s.mean, s.std, s.median, s.p99, s.max)
+         for name, s in (("input", t.input_stats), ("output", t.output_stats))],
+        meta=[("dataset", t.dataset)],
+    )
 
 
 def _stats_markdown(t: TraceReport) -> str:

@@ -9,10 +9,8 @@ synthesized record is flagged, so estimates never silently mix provenance.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .core import (
@@ -24,7 +22,9 @@ from .core import (
     J_PER_WH,
     ModelConfig,
     ValidationError,
+    joules_or_none,
 )
+from .csvio import format_csv, grid_meta, read_csv, write_csv
 from .flops import joules_per_flop, request_flops
 
 TABLE_COLUMNS = (
@@ -76,6 +76,9 @@ class MeasurementRecord:
         if (self.prefill_energy is None) != (self.decode_energy is None):
             raise ValidationError("prefill_energy and decode_energy must be given together")
         if self.prefill_energy is not None:
+            # a table file holds only positive energies
+            if self.prefill_energy.joules <= 0 or self.decode_energy.joules <= 0:
+                raise ValidationError("prefill_energy and decode_energy must be positive")
             split = self.prefill_energy.joules + self.decode_energy.joules
             if abs(split - self.batch_energy.joules) > 0.005 * self.batch_energy.joules:
                 raise ValidationError(
@@ -257,8 +260,8 @@ def synthesize_table(
         raise ValidationError(f"efficiency must be in (0, 1], got {efficiency}")
     if decode_penalty < 1:
         raise ValidationError(f"decode_penalty must be >= 1, got {decode_penalty}")
-    if memory_bytes <= 0:
-        raise ValidationError(f"memory_bytes must be positive, got {memory_bytes}")
+    if not 0 < memory_bytes < math.inf:
+        raise ValidationError(f"memory_bytes must be positive and finite, got {memory_bytes}")
     device = device if device is not None else hw.name
     kv_bytes = kv_bytes_per_token if kv_bytes_per_token is not None \
         else default_kv_bytes_per_token(model)
@@ -292,28 +295,19 @@ def synthesize_table(
 def write_table(table: MeasurementTable, path_or_buf) -> None:
     """Serialize to the table csv schema, energies in joules, metadata as
     leading comment lines."""
-    buf = io.StringIO()
     md = table.metadata
-    buf.write("# input_bins = " + ",".join(str(x) for x in md.grid.input_bins) + "\n")
-    buf.write("# output_bins = " + ",".join(str(x) for x in md.grid.output_bins) + "\n")
-    buf.write(f"# protocol_samples = {md.protocol_samples}\n")
-    buf.write(f"# normalization_note = {md.normalization_note}\n")
-    buf.write(f"# padding_policy = {md.padding_policy}\n")
-    buf.write(",".join(TABLE_COLUMNS) + "\n")
-    for rec in sorted(table.records,
-                      key=lambda r: (r.backend, r.device, r.input_cap, r.output_cap)):
-        prefill = "" if rec.prefill_energy is None else repr(rec.prefill_energy.joules)
-        decode = "" if rec.decode_energy is None else repr(rec.decode_energy.joules)
-        buf.write(
-            f"{rec.backend},{rec.device},{rec.input_cap},{rec.output_cap},"
-            f"{rec.max_batch},{rec.batch_energy.joules!r},J,{prefill},{decode},"
-            f"{rec.samples_measured},{rec.warmup_batches}\n"
-        )
-    text = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        Path(path_or_buf).write_text(text, encoding="utf-8")
+
+    records = sorted(table.records,
+                     key=lambda r: (r.backend, r.device, r.input_cap, r.output_cap))
+    write_csv(path_or_buf, format_csv(
+        TABLE_COLUMNS,
+        [(r.backend, r.device, r.input_cap, r.output_cap, r.max_batch, r.batch_energy.joules,
+          "J", joules_or_none(r.prefill_energy), joules_or_none(r.decode_energy), r.samples_measured,
+          r.warmup_batches) for r in records],
+        meta=grid_meta(md.grid) + [("protocol_samples", md.protocol_samples),
+                                   ("normalization_note", md.normalization_note),
+                                   ("padding_policy", md.padding_policy)],
+    ))
 
 
 def load_table(path_or_buf, grid: Optional[BinGrid] = None) -> MeasurementTable:
@@ -323,67 +317,22 @@ def load_table(path_or_buf, grid: Optional[BinGrid] = None) -> MeasurementTable:
     then the `grid` argument, then the default grid. Energy columns are
     converted to joules using the row's energy_unit.
     """
-    if hasattr(path_or_buf, "read"):
-        text = path_or_buf.read()
-        origin = "<stream>"
-    else:
-        p = Path(path_or_buf)
-        if not p.exists():
-            raise ValidationError(f"measurement table not found: {p}")
-        text = p.read_text(encoding="utf-8")
-        origin = str(p)
-
-    meta: dict[str, str] = {}
-    header: Optional[list[str]] = None
-    records: list[MeasurementRecord] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                meta[k.strip()] = v.strip()
-            continue
-        if header is None:
-            header = [h.strip() for h in line.split(",")]
-            if tuple(header) != TABLE_COLUMNS:
-                raise ValidationError(
-                    f"{origin}:{lineno}: bad header; expected "
-                    f"{','.join(TABLE_COLUMNS)!r}"
-                )
-            continue
-        parts = [x.strip() for x in line.split(",")]
-        if len(parts) != len(TABLE_COLUMNS):
-            raise ValidationError(
-                f"{origin}:{lineno}: expected {len(TABLE_COLUMNS)} fields, got {len(parts)}"
-            )
-        records.append(_parse_record(dict(zip(TABLE_COLUMNS, parts)), origin, lineno))
-    if header is None:
-        raise ValidationError(f"{origin}: missing header row")
-
-    if "input_bins" in meta and "output_bins" in meta:
-        grid = BinGrid(
-            input_bins=tuple(int(x) for x in meta["input_bins"].split(",")),
-            output_bins=tuple(int(x) for x in meta["output_bins"].split(",")),
-        )
-    elif grid is None:
-        grid = BinGrid()
+    f = read_csv(path_or_buf, TABLE_COLUMNS, "measurement table", _parse_record)
     metadata = TableMetadata(
-        grid=grid,
-        protocol_samples=int(meta.get("protocol_samples", str(PROTOCOL_SAMPLES))),
-        normalization_note=meta.get("normalization_note", NORMALIZATION_NOTE),
-        padding_policy=meta.get("padding_policy", "unspecified"),
+        grid=f.grid() or grid or BinGrid(),
+        protocol_samples=f.meta_int("protocol_samples", PROTOCOL_SAMPLES),
+        normalization_note=f.meta.get("normalization_note", NORMALIZATION_NOTE),
+        padding_policy=f.meta.get("padding_policy", "unspecified"),
     )
-    return MeasurementTable(records=tuple(records), metadata=metadata)
+    return MeasurementTable(records=tuple(f.rows), metadata=metadata)
 
 
-def _parse_record(row: dict[str, str], origin: str, lineno: int) -> MeasurementRecord:
+def _parse_record(fields: list[str], where: str) -> MeasurementRecord:
+    row = dict(zip(TABLE_COLUMNS, fields))
     unit = row["energy_unit"]
     if unit not in ENERGY_UNIT_FACTORS:
         raise ValidationError(
-            f"{origin}:{lineno}: energy_unit must be one of "
+            f"{where}: energy_unit must be one of "
             f"{sorted(ENERGY_UNIT_FACTORS)}, got {unit!r}"
         )
     factor = ENERGY_UNIT_FACTORS[unit]
@@ -395,34 +344,38 @@ def _parse_record(row: dict[str, str], origin: str, lineno: int) -> MeasurementR
         try:
             value = float(raw)
         except ValueError:
-            raise ValidationError(f"{origin}:{lineno}: {col} is not a number: {raw!r}") from None
-        if value <= 0:
-            raise ValidationError(f"{origin}:{lineno}: {col} must be positive, got {value}")
-        return Energy(value * factor)
+            raise ValidationError(f"{where}: {col} is not a number: {raw!r}") from None
+        joules = value * factor
+        if not 0 < joules < math.inf:
+            raise ValidationError(
+                f"{where}: {col} must be positive and finite, got {raw!r}"
+            )
+        return Energy(joules)
 
     def integer(col: str) -> int:
         try:
             return int(row[col])
         except ValueError:
             raise ValidationError(
-                f"{origin}:{lineno}: {col} is not an integer: {row[col]!r}"
+                f"{where}: {col} is not an integer: {row[col]!r}"
             ) from None
 
     batch_energy = energy("batch_energy")
     if batch_energy is None:
-        raise ValidationError(f"{origin}:{lineno}: batch_energy is required")
+        raise ValidationError(f"{where}: batch_energy is required")
+    kwargs = dict(
+        backend=row["backend"],
+        device=row["device"],
+        input_cap=integer("input_cap"),
+        output_cap=integer("output_cap"),
+        max_batch=integer("max_batch"),
+        batch_energy=batch_energy,
+        prefill_energy=energy("prefill_energy"),
+        decode_energy=energy("decode_energy"),
+        samples_measured=integer("samples_measured"),
+        warmup_batches=integer("warmup_batches"),
+    )
     try:
-        return MeasurementRecord(
-            backend=row["backend"],
-            device=row["device"],
-            input_cap=integer("input_cap"),
-            output_cap=integer("output_cap"),
-            max_batch=integer("max_batch"),
-            batch_energy=batch_energy,
-            prefill_energy=energy("prefill_energy"),
-            decode_energy=energy("decode_energy"),
-            samples_measured=integer("samples_measured"),
-            warmup_batches=integer("warmup_batches"),
-        )
+        return MeasurementRecord(**kwargs)
     except ValidationError as exc:
-        raise ValidationError(f"{origin}:{lineno}: {exc}") from None
+        raise ValidationError(f"{where}: {exc}") from None

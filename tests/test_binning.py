@@ -142,3 +142,22 @@ def test_binned_csv_rejects_duplicates():
     )
     with pytest.raises(ValidationError, match="duplicate"):
         read_binned_csv(io.StringIO(text))
+
+
+def test_counts_total_accounts_for_every_request(rng):
+    inputs = rng.integers(0, 20000, size=5000)
+    outputs = rng.integers(0, 2000, size=5000)
+    w = bin_arrays(inputs, outputs, DEFAULT_GRID)
+    assert w.total_binned + w.excluded_input + w.excluded_output == 5000
+
+
+def test_exclusion_priority_input_first():
+    w = bin_arrays(np.array([9000, 10, 9000]), np.array([600, 600, 5]), DEFAULT_GRID)
+    assert w.counts == {}
+    assert (w.excluded_input, w.excluded_output) == (2, 1)
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(ValidationError, match="equal length"):
+        bin_arrays(np.array([1, 2]), np.array([1]), DEFAULT_GRID)
+

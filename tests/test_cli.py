@@ -239,6 +239,14 @@ def test_synth_table_bad_efficiency(fixture_paths, capsys):
                "--efficiency", "0", "--decode-penalty", "1.0") == 2
 
 
+@pytest.mark.parametrize("memory", ["inf", "nan"])
+def test_synth_table_non_finite_memory_is_a_data_error(fixture_paths, capsys, memory):
+    assert run("synth-table", "--model", str(fixture_paths["model"]),
+               "--hw", str(fixture_paths["hw"]), "--efficiency", "0.5",
+               "--decode-penalty", "1.0", "--memory-bytes", memory) == 2
+    assert "memory_bytes" in _one_error_line(capsys)
+
+
 def test_permissive_note_on_stderr(fixture_paths, capsys):
     messy = fixture_paths["dir"] / "messy.csv"
     messy.write_text("input_tokens,output_tokens\n10,2\nbad,3\n", encoding="utf-8")
@@ -284,3 +292,75 @@ def test_utf8_bom_header_is_stripped(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bom.read_bytes())))
     assert run("stats", "--trace", "-", "--dataset", "d") == 0
     assert capsys.readouterr().out == want
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("comment", ["# input_bins = 32,x", "# excluded_input = 1.5",
+                                     "# excluded_output = many"])
+def test_binned_non_integer_comment_is_a_data_error(fixture_paths, capsys, comment):
+    binned = fixture_paths["dir"] / "binned.csv"
+    assert run("bin", "--trace", str(fixture_paths["trace"]), "--out", str(binned)) == 0
+    binned.write_text(binned.read_text(encoding="utf-8") + comment + "\n", encoding="utf-8")
+    assert run("estimate", "--binned", str(binned), "--table", str(fixture_paths["table"]),
+               "--backend", "vllm", "--device", "A100") == 2
+    assert f"'# {comment.split()[1]}' must be" in _one_error_line(capsys)
+
+
+def test_table_non_integer_protocol_samples_is_a_data_error(fixture_paths, capsys):
+    table = fixture_paths["table"]
+    table.write_text("# protocol_samples = lots\n" + table.read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    assert run("validate-table", "--table", str(table)) == 2
+    assert "'# protocol_samples' must be an integer" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+def test_non_finite_table_energy_names_file_and_line(fixture_paths, capsys, value):
+    table = fixture_paths["table"]
+    text = table.read_text(encoding="utf-8").replace("naive,A100,256,8,1,3.0,J",
+                                                     f"naive,A100,256,8,1,{value},kWh")
+    table.write_text(text, encoding="utf-8")
+    assert run("estimate", "--trace", str(fixture_paths["trace"]), "--table", str(table),
+               "--backend", "vllm", "--device", "A100") == 2
+    err = _one_error_line(capsys)
+    assert f"{table}:4: batch_energy must be positive and finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_baseline_j_is_a_data_error(fixture_paths, capsys, value):
+    d = fixture_paths["dir"]
+    assert run("estimate", "--trace", str(fixture_paths["trace"]),
+               "--table", str(fixture_paths["table"]), "--backend", "vllm",
+               "--device", "A100", "--out", str(d / "vllm.json")) == 0
+    assert run("compare", "--estimates", str(d / "vllm.json"), "--baseline-j", value,
+               "--reference", "vllm", "--format", "csv") == 2
+    assert "finite" in _one_error_line(capsys)
+
+
+def test_synth_table_name_with_comma_loads_back(fixture_paths, capsys):
+    totals = {}
+    for backend, device in (("v", "tp2"), ("v,x", 'say "tp=2"')):
+        table = fixture_paths["dir"] / "synth.csv"
+        assert run("synth-table", "--model", str(fixture_paths["model"]),
+                   "--hw", str(fixture_paths["hw"]), "--efficiency", "1",
+                   "--decode-penalty", "1", "--backend", backend, "--device", device,
+                   "--out", str(table)) == 0
+        assert run("estimate", "--trace", str(fixture_paths["trace"]), "--table", str(table),
+                   "--backend", backend, "--device", device) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["backend"], payload["device"]) == (backend, device)
+        totals[backend] = payload["total_j"]
+    assert totals["v,x"] == totals["v"] > 0
+
+
+@pytest.mark.parametrize("backend", [" v", "v ", "#v", "a\rb"])
+def test_synth_table_refuses_names_that_cannot_load_back(fixture_paths, capsys, backend):
+    assert run("synth-table", "--model", str(fixture_paths["model"]),
+               "--hw", str(fixture_paths["hw"]), "--efficiency", "1", "--decode-penalty", "1",
+               "--backend", backend) == 2
+    assert "backend" in _one_error_line(capsys)

@@ -38,6 +38,14 @@ def test_request_validation():
         Request(-1, 5)
     with pytest.raises(ValidationError):
         Request(5, -1)
+    # no silent truncation, no bool, nothing numpy cannot hold
+    for bad in (1.5, 2.0, True, "3", None, 2**63, 10**23):
+        with pytest.raises(ValidationError, match="int64"):
+            Request(bad, 1)
+        with pytest.raises(ValidationError, match="int64"):
+            Request(1, bad)
+    assert Request(2**63 - 1, np.int64(7)) == Request(2**63 - 1, 7)
+    assert Request(np.uint8(3), np.int32(4)).input_tokens == 3
 
 
 def test_bin_validation_and_order():
@@ -121,6 +129,11 @@ def test_energy_arithmetic():
         Energy(-1.0)
     with pytest.raises(ValidationError):
         Energy(1.0) * -2
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            Energy(bad)
+    with pytest.raises(ValidationError, match="finite"):
+        Energy(1.0) * float("inf")
 
 
 def test_config_file_parsing(tmp_path):

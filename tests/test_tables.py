@@ -56,6 +56,8 @@ def test_record_split_consistency():
         _record(256, 8, joules=10.0, prefill_energy=Energy(6.0), decode_energy=Energy(4.2))
     with pytest.raises(ValidationError, match="together"):
         _record(256, 8, joules=10.0, prefill_energy=Energy(6.0))
+    with pytest.raises(ValidationError, match="positive"):
+        _record(256, 8, joules=10.0, prefill_energy=Energy(0.0), decode_energy=Energy(10.0))
 
 
 def test_per_request_energy():
@@ -173,6 +175,17 @@ def test_load_rejects_wrong_field_count():
         load_table(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("vllm,A100,x,8,1,2.0,J,,,1024,20", "input_cap is not an integer: 'x'"),
+    ("vllm,A100,256,8,1,2.0,J,x,1.0,1024,20", "prefill_energy is not a number: 'x'"),
+])
+def test_load_record_error_carries_one_origin_prefix(row, message):
+    text = f"# input_bins = 256\n# output_bins = 8\n{HEADER}\n{row}\n"
+    with pytest.raises(ValidationError) as exc:
+        load_table(io.StringIO(text))
+    assert str(exc.value) == f"<stream>:4: {message}"
+
+
 def test_load_missing_file():
     with pytest.raises(ValidationError, match="not found"):
         load_table("/nonexistent/table.csv")
@@ -235,9 +248,10 @@ def test_synthesize_validates_arguments(toy_model, a100):
         synthesize_table(grid, toy_model, a100, efficiency=1.5, decode_penalty=1.0)
     with pytest.raises(ValidationError):
         synthesize_table(grid, toy_model, a100, efficiency=1.0, decode_penalty=0.5)
-    with pytest.raises(ValidationError):
-        synthesize_table(grid, toy_model, a100, efficiency=1.0, decode_penalty=1.0,
-                         memory_bytes=0.0)
+    for memory_bytes in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            synthesize_table(grid, toy_model, a100, efficiency=1.0, decode_penalty=1.0,
+                             memory_bytes=memory_bytes)
 
 
 def test_default_kv_bytes(toy_model):
