@@ -12,8 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-import numpy as np
-
 from .core import Bin, BinGrid, Request, RequestColumns, ValidationError
 from .csvio import format_csv, grid_meta, read_csv, write_csv
 
@@ -103,6 +101,8 @@ def bin_counts_numpy(
     Returns (counts[ni, no], excluded_input, excluded_output). A request over
     both limits is tallied once, under excluded_input.
     """
+    import numpy as np
+
     over_in = inputs > input_bins[-1]
     over_out = ~over_in & (outputs > output_bins[-1])
     ok = ~(over_in | over_out)
@@ -116,6 +116,8 @@ def bin_counts_numpy(
 
 def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> BinnedWorkload:
     """Bin parallel arrays of input/output token counts (the hot path)."""
+    import numpy as np
+
     inputs = np.asarray(inputs, dtype=np.int64)
     outputs = np.asarray(outputs, dtype=np.int64)
     if inputs.shape != outputs.shape:

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-INT64_MAX = int(np.iinfo(np.int64).max)
+INT64_MAX = 2**63 - 1
 J_PER_KWH = 3.6e6
 J_PER_WH = 3.6e3
 
@@ -57,12 +55,15 @@ class RequestColumns(Sequence):
 
     A loaded trace costs 16 bytes per request; indexing or iterating builds
     Requests on demand, while binning and statistics read `inputs` and
-    `outputs` directly.
+    `outputs` directly. numpy is imported here, not at module level, so the
+    commands that read no trace never load it.
     """
 
     __slots__ = ("inputs", "outputs")
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+        import numpy as np
+
         self.inputs = np.asarray(inputs, dtype=np.int64)
         self.outputs = np.asarray(outputs, dtype=np.int64)
 
@@ -71,6 +72,8 @@ class RequestColumns(Sequence):
         """The columns of `requests`, built unless it already is a RequestColumns."""
         if isinstance(requests, RequestColumns):
             return requests
+        import numpy as np
+
         reqs = requests if isinstance(requests, Sequence) else list(requests)
         n = len(reqs)
         return cls(np.fromiter((r.input_tokens for r in reqs), dtype=np.int64, count=n),
@@ -296,17 +299,26 @@ def joules_or_none(energy: Optional[Energy]) -> Optional[float]:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a plain-text `key = value` config file. `#` starts a comment."""
+    """Parse a UTF-8 `key = value` config file.
+
+    A line whose first non-blank character is `#` is a comment and blank
+    lines are skipped; elsewhere `#` is part of the value, so
+    `name = A100 #2` reads as `A100 #2`.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
+            raise ValidationError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if not key:

@@ -12,6 +12,9 @@ loadtxt cannot parse exactly (a bad, negative or missing value), goes
 through the csv row parser instead, which gives each malformed row its
 physical line number and message, and fails on an oversized field as
 csv.DictReader does.
+
+numpy is imported inside the functions that build or read token columns, so
+importing this module (as every command does) does not load it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .core import INT64_MAX, Request, RequestColumns, ValidationError
 
@@ -171,6 +172,8 @@ def _parse_csv(lines: Iterator[str], source: TraceSource):
 def _parse_chunk(chunk: list[str], usecols: tuple[int, int]):
     """(rows, 2) token block of a chunk from one numpy call, or None when
     the chunk needs the row parser."""
+    import numpy as np
+
     rows = len(chunk) - chunk.count("\n") - chunk.count("\r\n") - chunk.count("\r")
     if rows == 0:  # loadtxt warns on input with no data
         return np.empty((0, 2), dtype=np.int64)
@@ -197,6 +200,8 @@ def _parse_rows(lines: Iterator[str], stop: int, first_line: int, columns,
     A quoted record may run past `stop`; `first_line` is the number of
     lines before the first one read, so errors carry file line numbers.
     """
+    import numpy as np
+
     (in_idx, in_col), (out_idx, out_col) = columns
     inputs: list[int] = []
     outputs: list[int] = []
@@ -217,10 +222,14 @@ def _parse_rows(lines: Iterator[str], stop: int, first_line: int, columns,
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    import numpy as np
+
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _parse_jsonl(lines: Iterator[str], source: TraceSource):
+    import numpy as np
+
     in_col = source.column_map["input_tokens"]
     out_col = source.column_map["output_tokens"]
     inputs: list[int] = []
@@ -254,6 +263,8 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
     nearest-rank (no interpolation) percentile, so both stay integers for
     integer input. Std is the population (divide-by-n) form.
     """
+    import numpy as np
+
     arr = np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values))
     if arr.size == 0:
         raise ValidationError("cannot compute statistics of an empty sequence")

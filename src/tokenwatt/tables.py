@@ -10,8 +10,9 @@ synthesized record is flagged, so estimates never silently mix provenance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Bin,
@@ -105,14 +106,25 @@ class TableMetadata:
     padding_policy: str = "unspecified"
 
 
+class _Configuration(NamedTuple):
+    """The measured cells of one (backend, device), sorted, and the sorted
+    distinct caps measured on each axis."""
+
+    cells: list[tuple[int, int]]
+    input_caps: list[int]
+    output_caps: list[int]
+
+
 @dataclass(frozen=True)
 class MeasurementTable:
     records: tuple[MeasurementRecord, ...]
     metadata: TableMetadata
     _index: dict = field(init=False, repr=False, compare=False)
+    _configurations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[str, str, int, int], MeasurementRecord] = {}
+        cells: dict[tuple[str, str], list[tuple[int, int]]] = {}
         for rec in self.records:
             if not self.metadata.grid.contains(rec.bin):
                 raise ValidationError(
@@ -125,15 +137,22 @@ class MeasurementTable:
                     f"bin=({rec.input_cap}, {rec.output_cap})"
                 )
             index[key] = rec
+            cells.setdefault((rec.backend, rec.device), []).append((rec.input_cap, rec.output_cap))
+        configurations = {
+            config: _Configuration(sorted(pairs), sorted({i for i, _ in pairs}),
+                                   sorted({o for _, o in pairs}))
+            for config, pairs in cells.items()
+        }
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_configurations", configurations)
 
     def configurations(self) -> list[tuple[str, str]]:
         """Sorted distinct (backend, device) pairs."""
-        return sorted({(r.backend, r.device) for r in self.records})
+        return sorted(self._configurations)
 
     def bins_for(self, backend: str, device: str) -> list[Bin]:
-        return sorted(r.bin for r in self.records
-                      if r.backend == backend and r.device == device)
+        config = self._configurations.get((backend, device))
+        return [] if config is None else [Bin(i, o) for i, o in config.cells]
 
     def get(self, backend: str, device: str, b: Bin) -> Optional[MeasurementRecord]:
         return self._index.get((backend, device, b.input_cap, b.output_cap))
@@ -165,26 +184,24 @@ def lookup(
 
 
 def _bracket(caps: list[int], value: int, dim: str, b: Bin) -> tuple[int, int]:
-    if value in caps:
+    """The nearest measured caps at or around `value` in the sorted `caps`."""
+    k = bisect_left(caps, value)
+    if k < len(caps) and caps[k] == value:
         return value, value
-    below = [c for c in caps if c < value]
-    above = [c for c in caps if c > value]
-    if not below or not above:
+    if k == 0 or k == len(caps):
         raise ValidationError(
             f"bin ({b.input_cap}, {b.output_cap}) is outside the hull of measured "
             f"{dim} caps {caps}"
         )
-    return max(below), min(above)
+    return caps[k - 1], caps[k]
 
 
 def _interpolate(table: MeasurementTable, backend: str, device: str, b: Bin) -> MeasurementRecord:
-    measured = [r for r in table.records if r.backend == backend and r.device == device]
-    if not measured:
+    config = table._configurations.get((backend, device))
+    if config is None:
         raise ValidationError(f"no records for backend={backend!r} device={device!r}")
-    icaps = sorted({r.input_cap for r in measured})
-    ocaps = sorted({r.output_cap for r in measured})
-    i_lo, i_hi = _bracket(icaps, b.input_cap, "input", b)
-    o_lo, o_hi = _bracket(ocaps, b.output_cap, "output", b)
+    i_lo, i_hi = _bracket(config.input_caps, b.input_cap, "input", b)
+    o_lo, o_hi = _bracket(config.output_caps, b.output_cap, "output", b)
 
     corners = {}
     for ic in {i_lo, i_hi}:

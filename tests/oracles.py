@@ -3,14 +3,15 @@
 These intentionally avoid the closed forms and vectorized paths in the
 package: FLOPs are enumerated matrix by matrix and token by token, binning
 does a linear minimal-cap search, statistics come from a full sort plus
-textbook formulas, and csv traces are read one csv.DictReader row at a time.
+textbook formulas, csv traces are read one csv.DictReader row at a time, and
+table lookups rescan every record.
 """
 
 import csv
 import io
 import math
 
-from tokenwatt import Bin, ModelConfig, Overflow
+from tokenwatt import Bin, Energy, MeasurementRecord, ModelConfig, Overflow, ValidationError
 
 
 def brute_force_flops(model: ModelConfig, input_len: int, output_len: int) -> tuple[int, int]:
@@ -118,3 +119,79 @@ def oracle_parse_csv(text: str, in_col: str = "input_tokens",
         except ValueError as exc:
             errors.append((reader.line_num, str(exc)))
     return rows, errors
+
+
+def oracle_lookup(table, backend: str, device: str, b: Bin) -> MeasurementRecord:
+    """`lookup(..., interpolate=True)` by rescanning the table's records.
+
+    The measured record of the bin, else log-log bilinear interpolation
+    between the nearest measured caps, found by list comprehensions over
+    every record of the configuration; errors carry the production messages.
+    """
+    measured = [r for r in table.records if r.backend == backend and r.device == device]
+    for r in measured:
+        if (r.input_cap, r.output_cap) == (b.input_cap, b.output_cap):
+            return r
+    if not measured:
+        raise ValidationError(f"no records for backend={backend!r} device={device!r}")
+    icaps = sorted({r.input_cap for r in measured})
+    ocaps = sorted({r.output_cap for r in measured})
+    i_lo, i_hi = _oracle_bracket(icaps, b.input_cap, "input", b)
+    o_lo, o_hi = _oracle_bracket(ocaps, b.output_cap, "output", b)
+
+    corners = {}
+    for ic in {i_lo, i_hi}:
+        for oc in {o_lo, o_hi}:
+            rec = next((r for r in measured if (r.input_cap, r.output_cap) == (ic, oc)), None)
+            if rec is None:
+                raise ValidationError(
+                    f"cannot interpolate bin ({b.input_cap}, {b.output_cap}): "
+                    f"missing measured neighbor ({ic}, {oc}) for backend={backend!r} "
+                    f"device={device!r}"
+                )
+            corners[(ic, oc)] = rec
+
+    ti = 0.0 if i_lo == i_hi else (
+        (math.log(b.input_cap) - math.log(i_lo)) / (math.log(i_hi) - math.log(i_lo))
+    )
+    to = 0.0 if o_lo == o_hi else (
+        (math.log(b.output_cap) - math.log(o_lo)) / (math.log(o_hi) - math.log(o_lo))
+    )
+
+    def blend(value_of) -> float:
+        v00 = math.log(value_of(corners[(i_lo, o_lo)]))
+        v01 = math.log(value_of(corners[(i_lo, o_hi)]))
+        v10 = math.log(value_of(corners[(i_hi, o_lo)]))
+        v11 = math.log(value_of(corners[(i_hi, o_hi)]))
+        return math.exp(
+            (1 - ti) * (1 - to) * v00 + (1 - ti) * to * v01
+            + ti * (1 - to) * v10 + ti * to * v11
+        )
+
+    per_request = blend(lambda r: r.per_request_joules)
+    max_batch = max(1, round(blend(lambda r: float(r.max_batch))))
+    anchor = corners[(i_lo, o_lo)]
+    return MeasurementRecord(
+        backend=backend,
+        device=device,
+        input_cap=b.input_cap,
+        output_cap=b.output_cap,
+        max_batch=max_batch,
+        batch_energy=Energy(per_request * max_batch),
+        samples_measured=anchor.samples_measured,
+        warmup_batches=anchor.warmup_batches,
+        provenance="interpolated",
+    )
+
+
+def _oracle_bracket(caps: list, value: int, dim: str, b: Bin) -> tuple:
+    if value in caps:
+        return value, value
+    below = [c for c in caps if c < value]
+    above = [c for c in caps if c > value]
+    if not below or not above:
+        raise ValidationError(
+            f"bin ({b.input_cap}, {b.output_cap}) is outside the hull of measured "
+            f"{dim} caps {caps}"
+        )
+    return max(below), min(above)

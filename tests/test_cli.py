@@ -1,9 +1,12 @@
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tokenwatt
 import tokenwatt.cli as cli
 from tokenwatt import load_table
 from conftest import FIXTURE_TRACE
@@ -281,6 +284,14 @@ def test_non_utf8_trace_is_a_data_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: -: not valid UTF-8 (invalid start byte)\n"
 
 
+def test_non_utf8_config_is_a_data_error(fixture_paths, capsys):
+    hw = fixture_paths["dir"] / "bad.cfg"
+    hw.write_bytes(b"name = A100\xff\ntdp = 300\npeak_flops = 1e12\n")
+    assert run("baseline", "--trace", str(fixture_paths["trace"]),
+               "--model", str(fixture_paths["model"]), "--hw", str(hw)) == 2
+    assert capsys.readouterr().err == f"error: {hw}: not valid UTF-8 (invalid start byte)\n"
+
+
 def test_utf8_bom_header_is_stripped(tmp_path, monkeypatch, capsys):
     (tmp_path / "plain.csv").write_text(FIXTURE_TRACE, encoding="utf-8")
     assert run("stats", "--trace", str(tmp_path / "plain.csv"), "--dataset", "d") == 0
@@ -364,3 +375,83 @@ def test_synth_table_refuses_names_that_cannot_load_back(fixture_paths, capsys, 
                "--hw", str(fixture_paths["hw"]), "--efficiency", "1", "--decode-penalty", "1",
                "--backend", backend) == 2
     assert "backend" in _one_error_line(capsys)
+
+
+# Runs each argv of argv[2] (a json list) through cli.main in a fresh
+# interpreter importing tokenwatt from argv[1], and prints whether numpy got
+# loaded; a nonzero exit of any command fails the child.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tokenwatt.cli as cli
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code != 0:
+        sys.exit(f"{argv}: exit {code}")
+print("numpy" in sys.modules)
+"""
+
+
+def _loads_numpy(*commands) -> bool:
+    root = str(Path(tokenwatt.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, root, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_commands_that_read_no_trace_never_import_numpy(fixture_paths):
+    paths = {k: str(v) for k, v in fixture_paths.items()}
+    d = fixture_paths["dir"]
+    assert run("bin", "--trace", paths["trace"], "--out", str(d / "binned.csv")) == 0
+    for backend in ("vllm", "naive"):
+        assert run("estimate", "--trace", paths["trace"], "--table", paths["table"],
+                   "--backend", backend, "--device", "A100",
+                   "--out", str(d / f"{backend}.json")) == 0
+    binned = str(d / "binned.csv")
+    assert not _loads_numpy(
+        ["--version"],
+        ["estimate", "--binned", binned, "--table", paths["table"], "--backend", "vllm",
+         "--device", "A100", "--interpolate"],
+        ["baseline", "--binned", binned, "--model", paths["model"], "--hw", paths["hw"]],
+        ["compare", "--estimates", f"{d / 'vllm.json'},{d / 'naive.json'}",
+         "--baseline-j", "1.0", "--reference", "naive"],
+        ["synth-table", "--model", paths["model"], "--hw", paths["hw"], "--efficiency", "1",
+         "--decode-penalty", "1", "--out", str(d / "synth.csv")],
+        ["validate-table", "--table", str(d / "synth.csv")],
+        ["plan-sweep", "--out", str(d / "plans")],
+    )
+    assert _loads_numpy(["stats", "--trace", paths["trace"]])
+
+
+def test_arbitrary_trace_bytes_exit_0_or_2(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    heads = st.sampled_from([b"", b"input_tokens,output_tokens\n",
+                             b'{"input_tokens": 3, "output_tokens": 1}\n'])
+    bodies = st.one_of(
+        st.binary(max_size=200),
+        st.text(alphabet='0123456789-.,"{}[]: \r\n\\eEnul\ufeff\xff', max_size=200).map(
+            lambda t: t.encode("utf-8")),
+    )
+    trace = tmp_path / "trace"
+
+    @hypothesis.given(heads, bodies, st.sampled_from(cli.TRACE_FORMATS),
+                      st.sampled_from(["stats", "bin"]), st.booleans())
+    def check(head, body, trace_format, command, permissive):
+        trace.write_bytes(head + body)
+        argv = [command, "--trace", str(trace), "--trace-format", trace_format]
+        code = run(*argv, *(["--permissive"] if permissive else []))
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("note: ")]
+        assert code in (0, 2)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+        else:
+            assert err == []
+
+    check()

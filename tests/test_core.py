@@ -141,6 +141,10 @@ def test_config_file_parsing(tmp_path):
     path.write_text("# comment\na = 1\n\nb = two words\n", encoding="utf-8")
     assert read_config_file(path) == {"a": "1", "b": "two words"}
 
+    # only a whole line is a comment; a `#` after a key is part of its value
+    path.write_text("  # indented comment\nname = A100 #2\n", encoding="utf-8")
+    assert read_config_file(path) == {"name": "A100 #2"}
+
     path.write_text("a = 1\na = 2\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         read_config_file(path)

@@ -91,6 +91,10 @@ def test_plan_file_roundtrip(tmp_path):
     assert [p.name for p in paths] == [p.filename for p in plans]
     for path, plan in zip(paths, plans):
         assert read_plan(path) == plan
+    marked = SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
+                       points=(32, 64), samples_per_point=1024, truncation_source="PG19 #2")
+    [path] = write_plans([marked], tmp_path / "marked")
+    assert read_plan(path) == marked
 
 
 def test_plan_format_keys():

@@ -19,6 +19,7 @@ from tokenwatt import (
     synthesize_table,
     write_table,
 )
+from oracles import oracle_lookup
 
 HEADER = (
     "backend,device,input_cap,output_cap,max_batch,batch_energy,energy_unit,"
@@ -136,6 +137,49 @@ def test_interpolation_missing_corner_errors():
     ])
     with pytest.raises(ValidationError, match="missing measured neighbor"):
         lookup(t, "vllm", "A100", Bin(256, 32), interpolate=True)
+
+
+def test_indexed_lookup_matches_record_scan():
+    # random sparse tables with several configurations: the per-configuration
+    # index gives the records and error messages of a scan over every record
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    caps = st.lists(st.integers(1, 4096), min_size=1, max_size=6, unique=True).map(sorted)
+    configs = [("vllm", "A100"), ("vllm", "H100"), ("tgi", "A100")]
+
+    @hypothesis.given(st.data(), caps, caps)
+    def check(data, input_bins, output_bins):
+        grid = BinGrid(input_bins=tuple(input_bins), output_bins=tuple(output_bins))
+        cells = [(c, i, o) for c in configs for i in input_bins for o in output_bins]
+        chosen = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+        records = [
+            MeasurementRecord(
+                backend=backend, device=device, input_cap=i, output_cap=o,
+                max_batch=data.draw(st.integers(1, 512)),
+                batch_energy=Energy(data.draw(st.floats(1e-3, 1e6))),
+                samples_measured=data.draw(st.sampled_from([1024, 4096])),
+                warmup_batches=data.draw(st.integers(0, 20)),
+            )
+            for (backend, device), i, o in chosen
+        ]
+        table = MeasurementTable(records=tuple(records), metadata=TableMetadata(grid=grid))
+        assert table.configurations() == sorted({(r.backend, r.device) for r in records})
+        for backend, device in configs:
+            assert table.bins_for(backend, device) == sorted(
+                r.bin for r in records if (r.backend, r.device) == (backend, device))
+        for _ in range(4):
+            backend, device = data.draw(st.sampled_from(configs))
+            b = Bin(data.draw(st.sampled_from(input_bins)), data.draw(st.sampled_from(output_bins)))
+            try:
+                want = oracle_lookup(table, backend, device, b)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    lookup(table, backend, device, b, interpolate=True)
+                assert str(got.value) == str(exc)
+            else:
+                assert lookup(table, backend, device, b, interpolate=True) == want
+
+    check()
 
 
 def test_write_load_roundtrip(tmp_path):
