@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
@@ -82,10 +83,10 @@ def _load_requests(args):
     return load.requests
 
 
-def _dataset_name(args, path_attr: str = "trace") -> str:
+def _dataset_name(args) -> str:
     if getattr(args, "dataset", None):
         return args.dataset
-    path = getattr(args, path_attr, None) or getattr(args, "binned", None)
+    path = getattr(args, "trace", None) or getattr(args, "binned", None)
     if path is None or path == "-":
         return "stdin"
     return Path(path).stem
@@ -158,7 +159,9 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _load_estimate_file(path: str) -> tuple[str, Energy, str, int]:
+def _load_estimate_file(path: str) -> SimpleNamespace:
+    """The label, total, mode and excluded_requests of an estimate report,
+    which is what `compare` reads of an estimate."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"estimate file not found: {p}")
@@ -169,11 +172,11 @@ def _load_estimate_file(path: str) -> tuple[str, Energy, str, int]:
     if not isinstance(payload, dict) or payload.get("kind") != "estimate":
         raise ValidationError(f"{p}: not an estimate report (kind != 'estimate')")
     try:
-        return (
-            str(payload["label"]),
-            Energy(float(payload["total_j"])),
-            str(payload["mode"]),
-            int(payload["excluded_requests"]),
+        return SimpleNamespace(
+            label=str(payload["label"]),
+            total=Energy(float(payload["total_j"])),
+            mode=str(payload["mode"]),
+            excluded_requests=int(payload["excluded_requests"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{p}: malformed estimate report ({exc})") from None
@@ -183,25 +186,11 @@ def cmd_compare(args) -> int:
     paths = [p for p in args.estimates.split(",") if p]
     if not paths:
         raise ValidationError("--estimates needs at least one file")
-    rows = []
-    modes = set()
-    excluded = set()
-    for path in paths:
-        label, energy, mode, excl = _load_estimate_file(path)
-        rows.append((label, energy))
-        modes.add(mode)
-        excluded.add(excl)
-    if len(excluded) > 1:
-        raise ValidationError(
-            "estimates disagree on excluded_requests; they must describe one workload"
-        )
     comparison = compare(
-        rows,
+        [_load_estimate_file(path) for path in paths],
         optimal=Energy(args.baseline_j),
         reference_label=args.reference,
         dataset=args.dataset or "",
-        mode=modes.pop() if len(modes) == 1 else "mixed",
-        excluded_requests=excluded.pop(),
     )
     _emit(emit_report(comparison, args.format), args.out)
     return EXIT_OK

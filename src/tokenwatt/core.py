@@ -299,7 +299,8 @@ def joules_or_none(energy: Optional[Energy]) -> Optional[float]:
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a UTF-8 `key = value` config file.
+    """Parse a UTF-8 `key = value` config file (a leading byte-order mark is
+    ignored).
 
     A line whose first non-blank character is `#` is a comment and blank
     lines are skipped; elsewhere `#` is part of the value, so
@@ -309,7 +310,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, str] = {}

@@ -4,6 +4,10 @@ One schema_version covers every report kind. json carries full-precision
 joules for machine use; csv is also machine-oriented (comment-prefixed
 context lines, full precision); markdown-table is for humans and prints
 energies in kWh and percentages with two decimals.
+
+The fields of each kind of report row are listed once, as a tuple of
+columns; one emitter per report kind lays its rows out in each format, with
+that kind's context fields around them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import Energy, ValidationError, joules_or_none
 from .csvio import format_csv
@@ -75,17 +80,16 @@ def compare(
     optimal: Energy,
     reference_label: str,
     dataset: str = "",
-    mode: Optional[str] = None,
-    excluded_requests: Optional[int] = None,
 ) -> Comparison:
     """Rank labeled estimates against the idealized optimum.
 
-    Accepts WorkloadEstimate objects or bare (label, Energy) pairs. Each
-    entry gets its percent overhead above `optimal`; non-reference entries
-    also get percent savings relative to the reference entry, positive iff
-    they use less energy. `mode` and `excluded_requests` are inferred from
-    WorkloadEstimate entries unless given explicitly (bare pairs carry
-    neither).
+    Accepts bare (label, Energy) pairs, or WorkloadEstimates and other
+    objects with their `label`, `total`, `mode` and `excluded_requests`
+    attributes, from which the comparison's mode ("mixed" when they differ)
+    and excluded_requests (which must agree) are inferred. Each entry gets
+    its percent overhead above `optimal`; non-reference entries also get
+    percent savings relative to the reference entry, positive iff they use
+    less energy.
     """
     if optimal.joules <= 0:
         raise ValidationError("optimal energy must be positive")
@@ -96,17 +100,13 @@ def compare(
     modes: set[str] = set()
     excluded: set[int] = set()
     for item in estimates:
-        if isinstance(item, WorkloadEstimate):
+        if isinstance(item, tuple):
+            label, energy = item
+            rows.append((label, energy))
+        else:
             rows.append((item.label, item.total))
             modes.add(item.mode)
             excluded.add(item.excluded_requests)
-        else:
-            label, energy = item
-            rows.append((label, energy))
-    if mode is not None:
-        modes = {mode}
-    if excluded_requests is not None:
-        excluded = {excluded_requests}
 
     labels = [label for label, _ in rows]
     if len(set(labels)) != len(labels):
@@ -152,29 +152,35 @@ def emit_report(obj, format: str = "json") -> str:
     """Serialize a report object deterministically; same object, same bytes."""
     if format not in REPORT_FORMATS:
         raise ValidationError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
-    emitters = {
-        Comparison: (_comparison_json, _comparison_csv, _comparison_markdown),
-        WorkloadEstimate: (_estimate_json, _estimate_csv, _estimate_markdown),
-        BaselineReport: (_baseline_json, _baseline_csv, _baseline_markdown),
-        TraceReport: (_stats_json, _stats_csv, _stats_markdown),
-    }
-    for cls, (as_json, as_csv, as_md) in emitters.items():
+    for cls, emit in ((Comparison, _comparison), (WorkloadEstimate, _estimate),
+                      (BaselineReport, _baseline), (TraceReport, _stats)):
         if isinstance(obj, cls):
-            emit = {"json": as_json, "csv": as_csv, "markdown-table": as_md}[format]
-            return emit(obj)
+            return emit(obj, format)
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+class _Column(NamedTuple):
+    """One field of a report row.
+
+    `key` is its json key and csv header, and `get` reads its value from a
+    row. A column with a markdown `title` (a str.format template applied to
+    the report) shows in markdown as `cell(value)`, right-aligned unless
+    `left`; a column without one stays out of markdown.
+    """
+
+    key: str
+    get: Callable[[Any], Any]
+    title: Optional[str] = None
+    cell: Callable[[Any], str] = str
+    left: bool = False
 
 
 def _kwh(joules: float) -> str:
     return f"{joules / 3.6e6:.6e}"
 
 
-def _pct(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.2f}"
+def _pct(value: float) -> str:
+    return f"{value:.2f}"
 
 
 def _num(value: float) -> str:
@@ -184,109 +190,150 @@ def _num(value: float) -> str:
     return f"{value:.2f}"
 
 
-# --- comparison ---
+# A comparison row is a ComparisonEntry.
+_ENTRY_COLUMNS = (
+    _Column("label", attrgetter("label"), "label", left=True),
+    _Column("energy_j", attrgetter("energy.joules"), "energy (kWh)", _kwh),
+    _Column("pct_delta_vs_optimal", attrgetter("pct_delta_vs_optimal"), "% over optimal", _pct),
+    _Column("savings_vs_reference", attrgetter("savings_vs_reference"),
+           "savings vs {0.reference_label} (%)",
+           lambda pct: "(reference)" if pct is None else _pct(pct)),
+)
 
-def _comparison_json(c: Comparison) -> str:
-    return _dump({
-        "schema_version": SCHEMA_VERSION,
-        "dataset": c.dataset,
-        "mode": c.mode,
-        "baseline_j": c.baseline.joules,
-        "entries": [
-            {
-                "label": e.label,
-                "energy_j": e.energy.joules,
-                "pct_delta_vs_optimal": e.pct_delta_vs_optimal,
-                "savings_vs_reference": e.savings_vs_reference,
-            }
-            for e in c.entries
-        ],
-        "excluded_requests": c.excluded_requests,
-    })
+# An estimate row is a BinEstimate.
+_BIN_COLUMNS = (
+    _Column("input_cap", attrgetter("bin.input_cap"), "input cap"),
+    _Column("output_cap", attrgetter("bin.output_cap"), "output cap"),
+    _Column("count", attrgetter("count"), "count"),
+    _Column("max_batch", attrgetter("max_batch"), "max batch"),
+    _Column("batches", attrgetter("batches"), "batches", "{:g}".format),
+    _Column("energy_j", attrgetter("energy.joules"), "energy (kWh)", _kwh),
+    _Column("prefill_j", lambda be: joules_or_none(be.prefill_energy)),
+    _Column("decode_j", lambda be: joules_or_none(be.decode_energy)),
+    _Column("provenance", attrgetter("provenance"), "provenance", left=True),
+)
+
+# A baseline report is a single row, which csv writes as `key,value` lines
+# and markdown as a list under a heading naming the dataset.
+_BASELINE_FIELDS = (
+    _Column("dataset", attrgetter("dataset")),
+    _Column("model", attrgetter("model_name"), "model"),
+    _Column("optimal_j", attrgetter("optimal.joules"), "optimal energy",
+           lambda joules: f"{_kwh(joules)} kWh"),
+    _Column("j_per_flop", attrgetter("j_per_flop"), "joules per FLOP", "{:.4e}".format),
+    _Column("prefill_flops", attrgetter("prefill_flops"), "prefill FLOPs"),
+    _Column("decode_flops", attrgetter("decode_flops"), "decode FLOPs"),
+    _Column("total_flops", attrgetter("total_flops"), "total FLOPs"),
+    _Column("excluded_requests", attrgetter("excluded_requests"), "excluded requests"),
+)
+
+# A stats row is (token column name, request count, TraceStats).
+_STATS_COLUMNS = (
+    _Column("column", itemgetter(0), "tokens", left=True),
+    _Column("count", itemgetter(1)),
+    _Column("mean", lambda row: row[2].mean, "mean", _num),
+    _Column("std", lambda row: row[2].std, "std", _num),
+    _Column("median", lambda row: row[2].median, "median", _num),
+    _Column("p99", lambda row: row[2].p99, "p99", _num),
+    _Column("max", lambda row: row[2].max, "max", _num),
+)
 
 
-def _comparison_csv(c: Comparison) -> str:
-    return format_csv(
-        ("label", "energy_j", "pct_delta_vs_optimal", "savings_vs_reference"),
-        [(e.label, e.energy.joules, e.pct_delta_vs_optimal, e.savings_vs_reference)
-         for e in c.entries],
-        meta=[("dataset", c.dataset), ("mode", c.mode), ("baseline_j", c.baseline.joules),
-              ("reference", c.reference_label), ("excluded_requests", c.excluded_requests)],
-    )
+def _dump(payload: dict) -> str:
+    """The json text of a report: `schema_version`, then `payload`."""
+    report = {"schema_version": SCHEMA_VERSION, **payload}
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _comparison_markdown(c: Comparison) -> str:
-    head = [
+def _record(columns: Sequence[_Column], row) -> dict:
+    return {c.key: c.get(row) for c in columns}
+
+
+def _keys(columns: Sequence[_Column]) -> list[str]:
+    return [c.key for c in columns]
+
+
+def _values(columns: Sequence[_Column], rows: Iterable) -> list[list]:
+    return [[c.get(row) for c in columns] for row in rows]
+
+
+def _md_table(report, columns: Sequence[_Column], rows: Iterable) -> list[str]:
+    """Header, alignment and row lines of a markdown table of the titled
+    `columns`."""
+    shown = [c for c in columns if c.title is not None]
+    cells = [(c.get, c.cell) for c in shown]
+    lines = [_md_row([c.title.format(report) for c in shown]),
+             _md_row(["---" if c.left else "---:" for c in shown])]
+    lines.extend(_md_row([cell(get(row)) for get, cell in cells]) for row in rows)
+    return lines
+
+
+def _md_row(cells: Sequence[Optional[str]]) -> str:
+    """One markdown table line. A `|` inside a cell is escaped so that it
+    cannot split the cell; a None cell is left blank."""
+    return "|" + "|".join([" " if cell is None else " " + cell.replace("|", "\\|") + " "
+                           for cell in cells]) + "|"
+
+
+def _text(lines: Iterable[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _comparison(c: Comparison, format: str) -> str:
+    if format == "json":
+        # The reference label is left out here, though the csv context has
+        # it, and excluded_requests comes after the entries.
+        return _dump({
+            "dataset": c.dataset,
+            "mode": c.mode,
+            "baseline_j": c.baseline.joules,
+            "entries": [_record(_ENTRY_COLUMNS, e) for e in c.entries],
+            "excluded_requests": c.excluded_requests,
+        })
+    if format == "csv":
+        return format_csv(
+            _keys(_ENTRY_COLUMNS), _values(_ENTRY_COLUMNS, c.entries),
+            meta=[("dataset", c.dataset), ("mode", c.mode), ("baseline_j", c.baseline.joules),
+                  ("reference", c.reference_label), ("excluded_requests", c.excluded_requests)],
+        )
+    return _text([
         f"# Energy comparison: {c.dataset}" if c.dataset else "# Energy comparison",
         "",
         f"- baseline (idealized optimal): {_kwh(c.baseline.joules)} kWh",
         f"- mode: {c.mode}",
         f"- excluded requests: {c.excluded_requests}",
         "",
-        f"| label | energy (kWh) | % over optimal | savings vs {c.reference_label} (%) |",
-        "| --- | ---: | ---: | ---: |",
-    ]
-    for e in c.entries:
-        savings = "(reference)" if e.savings_vs_reference is None \
-            else _pct(e.savings_vs_reference)
-        head.append(
-            f"| {e.label} | {_kwh(e.energy.joules)} | "
-            f"{_pct(e.pct_delta_vs_optimal)} | {savings} |"
-        )
-    return "\n".join(head) + "\n"
+        *_md_table(c, _ENTRY_COLUMNS, c.entries),
+    ])
 
 
-# --- estimate ---
-
-def _estimate_json(w: WorkloadEstimate) -> str:
-    return _dump({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "estimate",
-        "label": w.label,
-        "backend": w.backend,
-        "device": w.device,
-        "mode": w.mode,
-        "total_j": w.total.joules,
-        "prefill_j": joules_or_none(w.prefill_total),
-        "decode_j": joules_or_none(w.decode_total),
-        "excluded_requests": w.excluded_requests,
-        "per_bin": [
-            {
-                "input_cap": be.bin.input_cap,
-                "output_cap": be.bin.output_cap,
-                "count": be.count,
-                "max_batch": be.max_batch,
-                "batches": be.batches,
-                "energy_j": be.energy.joules,
-                "prefill_j": joules_or_none(be.prefill_energy),
-                "decode_j": joules_or_none(be.decode_energy),
-                "provenance": be.provenance,
-            }
-            for be in w.per_bin
-        ],
-    })
-
-
-def _estimate_csv(w: WorkloadEstimate) -> str:
-    rows = [(be.bin.input_cap, be.bin.output_cap, be.count, be.max_batch, be.batches,
-             be.energy.joules, joules_or_none(be.prefill_energy), joules_or_none(be.decode_energy),
-             be.provenance) for be in w.per_bin]
+def _estimate(w: WorkloadEstimate, format: str) -> str:
+    if format == "json":
+        # The totals are top-level fields here and a TOTAL row in csv.
+        return _dump({
+            "kind": "estimate",
+            "label": w.label,
+            "backend": w.backend,
+            "device": w.device,
+            "mode": w.mode,
+            "total_j": w.total.joules,
+            "prefill_j": joules_or_none(w.prefill_total),
+            "decode_j": joules_or_none(w.decode_total),
+            "excluded_requests": w.excluded_requests,
+            "per_bin": [_record(_BIN_COLUMNS, be) for be in w.per_bin],
+        })
     total_batches = 0.0
     for be in w.per_bin:
         total_batches += be.batches
-    rows.append(("TOTAL", None, w.total_requests, None, total_batches, w.total.joules,
-                 joules_or_none(w.prefill_total), joules_or_none(w.decode_total), None))
-    return format_csv(
-        ("input_cap", "output_cap", "count", "max_batch", "batches", "energy_j",
-         "prefill_j", "decode_j", "provenance"),
-        rows,
-        meta=[("label", w.label), ("backend", w.backend), ("device", w.device),
-              ("mode", w.mode), ("excluded_requests", w.excluded_requests)],
-    )
-
-
-def _estimate_markdown(w: WorkloadEstimate) -> str:
-    head = [
+    if format == "csv":
+        total = ["TOTAL", None, w.total_requests, None, total_batches, w.total.joules,
+                 joules_or_none(w.prefill_total), joules_or_none(w.decode_total), None]
+        return format_csv(
+            _keys(_BIN_COLUMNS), _values(_BIN_COLUMNS, w.per_bin) + [total],
+            meta=[("label", w.label), ("backend", w.backend), ("device", w.device),
+                  ("mode", w.mode), ("excluded_requests", w.excluded_requests)],
+        )
+    return _text([
         f"# Energy estimate: {w.label}",
         "",
         f"- backend: {w.backend} on {w.device}",
@@ -294,108 +341,43 @@ def _estimate_markdown(w: WorkloadEstimate) -> str:
         f"- total: {_kwh(w.total.joules)} kWh",
         f"- excluded requests: {w.excluded_requests}",
         "",
-        "| input cap | output cap | count | max batch | batches | energy (kWh) | provenance |",
-        "| ---: | ---: | ---: | ---: | ---: | ---: | --- |",
-    ]
-    total_batches = 0.0
-    for be in w.per_bin:
-        total_batches += be.batches
-        head.append(
-            f"| {be.bin.input_cap} | {be.bin.output_cap} | {be.count} | {be.max_batch} | "
-            f"{be.batches:g} | {_kwh(be.energy.joules)} | {be.provenance} |"
-        )
-    head.append(
-        f"| total | | {w.total_requests} | | {total_batches:g} | "
-        f"{_kwh(w.total.joules)} | |"
-    )
-    return "\n".join(head) + "\n"
-
-
-# --- baseline ---
-
-def _baseline_json(b: BaselineReport) -> str:
-    return _dump({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "baseline",
-        "dataset": b.dataset,
-        "model": b.model_name,
-        "optimal_j": b.optimal.joules,
-        "j_per_flop": b.j_per_flop,
-        "prefill_flops": b.prefill_flops,
-        "decode_flops": b.decode_flops,
-        "total_flops": b.total_flops,
-        "excluded_requests": b.excluded_requests,
-    })
-
-
-def _baseline_csv(b: BaselineReport) -> str:
-    return format_csv(("key", "value"), [
-        ("dataset", b.dataset),
-        ("model", b.model_name),
-        ("optimal_j", b.optimal.joules),
-        ("j_per_flop", b.j_per_flop),
-        ("prefill_flops", b.prefill_flops),
-        ("decode_flops", b.decode_flops),
-        ("total_flops", b.total_flops),
-        ("excluded_requests", b.excluded_requests),
+        *_md_table(w, _BIN_COLUMNS, w.per_bin),
+        _md_row(["total", None, str(w.total_requests), None, f"{total_batches:g}",
+                 _kwh(w.total.joules), None]),
     ])
 
 
-def _baseline_markdown(b: BaselineReport) -> str:
-    lines = [
+def _baseline(b: BaselineReport, format: str) -> str:
+    if format == "json":
+        return _dump({"kind": "baseline", **_record(_BASELINE_FIELDS, b)})
+    if format == "csv":
+        return format_csv(("key", "value"), [(c.key, c.get(b)) for c in _BASELINE_FIELDS])
+    return _text([
         f"# Idealized baseline: {b.dataset}" if b.dataset else "# Idealized baseline",
         "",
-        f"- model: {b.model_name}",
-        f"- optimal energy: {_kwh(b.optimal.joules)} kWh",
-        f"- joules per FLOP: {b.j_per_flop:.4e}",
-        f"- prefill FLOPs: {b.prefill_flops}",
-        f"- decode FLOPs: {b.decode_flops}",
-        f"- total FLOPs: {b.total_flops}",
-        f"- excluded requests: {b.excluded_requests}",
-    ]
-    return "\n".join(lines) + "\n"
+        *(f"- {c.title}: {c.cell(c.get(b))}" for c in _BASELINE_FIELDS if c.title is not None),
+    ])
 
 
-# --- trace stats ---
-
-def _stats_payload(s: TraceStats) -> dict:
-    return {
-        "mean": s.mean, "std": s.std, "median": s.median, "p99": s.p99, "max": s.max,
-    }
-
-
-def _stats_json(t: TraceReport) -> str:
-    return _dump({
-        "schema_version": SCHEMA_VERSION,
-        "kind": "stats",
-        "dataset": t.dataset,
-        "count": t.count,
-        "input": _stats_payload(t.input_stats),
-        "output": _stats_payload(t.output_stats),
-    })
-
-
-def _stats_csv(t: TraceReport) -> str:
-    return format_csv(
-        ("column", "count", "mean", "std", "median", "p99", "max"),
-        [(name, t.count, s.mean, s.std, s.median, s.p99, s.max)
-         for name, s in (("input", t.input_stats), ("output", t.output_stats))],
-        meta=[("dataset", t.dataset)],
-    )
-
-
-def _stats_markdown(t: TraceReport) -> str:
-    lines = [
+def _stats(t: TraceReport, format: str) -> str:
+    rows = [("input", t.count, t.input_stats), ("output", t.count, t.output_stats)]
+    if format == "json":
+        # One object per token column, each without the count, which the
+        # report carries once.
+        stats = [c for c in _STATS_COLUMNS if c.key not in ("column", "count")]
+        return _dump({
+            "kind": "stats",
+            "dataset": t.dataset,
+            "count": t.count,
+            **{row[0]: _record(stats, row) for row in rows},
+        })
+    if format == "csv":
+        return format_csv(_keys(_STATS_COLUMNS), _values(_STATS_COLUMNS, rows),
+                          meta=[("dataset", t.dataset)])
+    return _text([
         f"# Trace statistics: {t.dataset}" if t.dataset else "# Trace statistics",
         "",
         f"- requests: {t.count}",
         "",
-        "| tokens | mean | std | median | p99 | max |",
-        "| --- | ---: | ---: | ---: | ---: | ---: |",
-    ]
-    for name, s in (("input", t.input_stats), ("output", t.output_stats)):
-        lines.append(
-            f"| {name} | {_num(s.mean)} | {_num(s.std)} | {_num(s.median)} | "
-            f"{_num(s.p99)} | {_num(s.max)} |"
-        )
-    return "\n".join(lines) + "\n"
+        *_md_table(t, _STATS_COLUMNS, rows),
+    ])

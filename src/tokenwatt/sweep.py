@@ -107,10 +107,10 @@ def _pow2_range(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-def default_sweep_plans(sequence_low: int = 32) -> list[SweepPlan]:
+def default_sweep_plans() -> list[SweepPlan]:
     """The five controlled sweeps behind the measurement grid.
 
-    Input length up to 32768 at 64 and 8 generated tokens, output length up
+    Input length 32 to 32768 at 64 and 8 generated tokens, output length up
     to 4096 at 512- and 64-token contexts, and batch size up to 1024 at the
     (512, 64) shape. Sequence sweeps run single-request batches; the batch
     sweep crosses 256 and therefore uses normalized 4096-sample runs.
@@ -120,7 +120,7 @@ def default_sweep_plans(sequence_low: int = 32) -> list[SweepPlan]:
         plans.append(SweepPlan(
             axis="input_length",
             fixed={"output_length": out, "batch_size": 1},
-            points=_pow2_range(sequence_low, 32768),
+            points=_pow2_range(32, 32768),
             samples_per_point=PROTOCOL_SAMPLES,
         ))
     for inp in (512, 64):

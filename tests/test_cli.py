@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,6 +191,63 @@ def test_compare_rejects_non_estimate_json(fixture_paths, capsys):
     (d / "junk.json").write_text('{"kind": "other"}', encoding="utf-8")
     assert run("compare", "--estimates", str(d / "junk.json"),
                "--baseline-j", "1.0", "--reference", "x") == 2
+
+
+def _estimate_files(d, runs) -> str:
+    """Runs `estimate` once per (name, flags), writing name.json into `d`;
+    the --estimates value naming those files."""
+    for name, flags in runs:
+        assert run("estimate", *flags, "--out", str(d / f"{name}.json")) == 0
+    return ",".join(str(d / f"{name}.json") for name, _ in runs)
+
+
+def test_compare_estimates_of_different_modes_is_mixed(fixture_paths, capsys):
+    flags = ["--trace", str(fixture_paths["trace"]), "--table", str(fixture_paths["table"]),
+             "--backend", "vllm", "--device", "A100"]
+    estimates = _estimate_files(fixture_paths["dir"], [
+        ("frac", flags),
+        ("ceil", [*flags, "--mode", "ceiling", "--label", "vllm-ceil"]),
+    ])
+    assert run("compare", "--estimates", estimates, "--baseline-j", "1.0",
+               "--reference", "vllm") == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "mixed"
+
+
+def test_compare_estimates_of_different_workloads_is_a_data_error(fixture_paths, capsys):
+    # 2000 input tokens lie past the grid's largest input cap, so the second
+    # estimate excludes a request that the first never saw.
+    wider = fixture_paths["dir"] / "wider.csv"
+    wider.write_text(FIXTURE_TRACE + "2000,7\n", encoding="utf-8")
+    flags = ["--table", str(fixture_paths["table"]), "--device", "A100",
+             "--grid", "256,1024:8,64"]
+    estimates = _estimate_files(fixture_paths["dir"], [
+        ("vllm", [*flags, "--trace", str(fixture_paths["trace"]), "--backend", "vllm"]),
+        ("naive", [*flags, "--trace", str(wider), "--backend", "naive"]),
+    ])
+    assert run("compare", "--estimates", estimates, "--baseline-j", "1.0",
+               "--reference", "vllm") == 2
+    assert "disagree on excluded_requests" in _one_error_line(capsys)
+
+
+def test_markdown_escapes_pipes_in_names(fixture_paths, capsys):
+    d = fixture_paths["dir"]
+    table = d / "synth.csv"
+    assert run("synth-table", "--model", str(fixture_paths["model"]),
+               "--hw", str(fixture_paths["hw"]), "--efficiency", "1", "--decode-penalty", "1",
+               "--backend", "a|b", "--device", "gpu", "--out", str(table)) == 0
+    flags = ["--trace", str(fixture_paths["trace"]), "--table", str(table),
+             "--backend", "a|b", "--device", "gpu"]
+    estimates = _estimate_files(d, [("ab", flags), ("c", [*flags, "--label", "c"])])
+    capsys.readouterr()
+    assert run("estimate", *flags, "--format", "markdown-table") == 0
+    estimate_md = capsys.readouterr().out
+    assert run("compare", "--estimates", estimates, "--baseline-j", "1e-9",
+               "--reference", "a|b", "--format", "markdown-table") == 0
+    compare_md = capsys.readouterr().out
+    assert "| a\\|b |" in compare_md and "savings vs a\\|b (%)" in compare_md
+    for text in (estimate_md, compare_md):
+        rows = [line for line in text.splitlines() if line.startswith("|")]
+        assert len({len(re.findall(r"(?<!\\)\|", row)) for row in rows}) == 1, text
 
 
 def test_plan_sweep_writes_files(tmp_path, capsys):

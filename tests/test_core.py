@@ -145,6 +145,10 @@ def test_config_file_parsing(tmp_path):
     path.write_text("  # indented comment\nname = A100 #2\n", encoding="utf-8")
     assert read_config_file(path) == {"name": "A100 #2"}
 
+    # a leading byte-order mark is not part of the first key
+    path.write_text("name = A100\ntdp = 300\npeak_flops = 1e12\n", encoding="utf-8-sig")
+    assert HardwareSpec.from_file(path).name == "A100"
+
     path.write_text("a = 1\na = 2\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         read_config_file(path)

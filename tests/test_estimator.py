@@ -1,15 +1,21 @@
 import pytest
 
 from tokenwatt import (
+    ESTIMATE_MODES,
     Bin,
     BinGrid,
     BinnedWorkload,
     Energy,
+    HardwareSpec,
     MeasurementRecord,
     MeasurementTable,
+    ModelConfig,
     TableMetadata,
     ValidationError,
     estimate,
+    joules_per_flop,
+    request_flops,
+    synthesize_table,
 )
 
 GRID = BinGrid(input_bins=(256, 1024), output_bins=(8, 64))
@@ -132,3 +138,51 @@ def test_interpolated_bins_are_flagged():
 def test_custom_label(fixture_workload, fixture_table):
     est = estimate(fixture_workload, fixture_table, "vllm", "A100", label="vllm-a100")
     assert est.label == "vllm-a100"
+
+
+def test_estimate_is_at_least_the_flops_floor():
+    """A synthetic table of efficiency <= 1 and decode penalty >= 1 prices
+    every bin, measured or interpolated, at or above its FLOPs floor. Each
+    FLOPs term is a positive monomial in the caps, so log-energy is convex in
+    log-caps and log-log interpolation between measured caps stays above it.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    models = [
+        ModelConfig(n_layers=1, d_model=4, n_heads=1, n_kv_heads=1, d_ff=8, vocab_size=10),
+        ModelConfig(n_layers=32, d_model=4096, n_heads=32, n_kv_heads=8, d_ff=14336,
+                    vocab_size=32000),
+    ]
+
+    def caps(top):
+        return st.lists(st.integers(1, top), min_size=1, max_size=6, unique=True).map(sorted)
+
+    @hypothesis.given(caps(32768), caps(4096), st.sampled_from(models),
+                      st.floats(1e-6, 1.0), st.floats(1.0, 1e3), st.floats(1.0, 1e3),
+                      st.data())
+    def check(input_caps, output_caps, model, efficiency, decode_penalty, tdp, data):
+        grid = BinGrid(input_bins=tuple(input_caps), output_bins=tuple(output_caps))
+        hw = HardwareSpec(name="gpu", tdp=tdp, peak_flops=1e14)
+        full = synthesize_table(grid, model, hw, efficiency, decode_penalty)
+        # Measuring both end caps of each axis and any caps between them
+        # leaves every bin inside the measured hull, with its corners measured.
+        kept_inputs = {input_caps[0], input_caps[-1]} | data.draw(
+            st.sets(st.sampled_from(input_caps)))
+        kept_outputs = {output_caps[0], output_caps[-1]} | data.draw(
+            st.sets(st.sampled_from(output_caps)))
+        table = MeasurementTable(
+            records=tuple(r for r in full.records
+                          if r.input_cap in kept_inputs and r.output_cap in kept_outputs),
+            metadata=full.metadata,
+        )
+        counts = data.draw(st.dictionaries(st.sampled_from(grid.bins()),
+                                           st.integers(1, 10**9), min_size=1))
+        workload = BinnedWorkload(grid=grid, counts=counts)
+        for mode in ESTIMATE_MODES:
+            est = estimate(workload, table, "synthetic", "gpu", mode=mode, interpolate=True)
+            for be in est.per_bin:
+                flops = request_flops(model, be.bin.input_cap, be.bin.output_cap).total
+                floor = be.count * flops * joules_per_flop(hw)
+                assert be.energy.joules >= floor * (1 - 1e-12), (mode, be, floor)
+
+    check()
