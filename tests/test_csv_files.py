@@ -1,11 +1,12 @@
 """Every csv tokenwatt writes: golden bytes, quoting and the values a writer
-rejects.
+rejects. The golden files also pin the sweep plans `plan-sweep` prints.
 
 The files under tests/golden were written by the CLI before reports, binned
 workloads and tables shared one csv codec; for names without commas every
 output must still come out byte for byte the same.
 """
 
+import contextlib
 import io
 from pathlib import Path
 
@@ -59,7 +60,13 @@ def cli_outputs(paths) -> dict[str, bytes]:
         runs += [(name, args + ["--format", fmt]) for name, args in reports]
     for name, args in runs:
         assert cli.main(args + ["--out", str(out / name)]) == 0, args
-    return {name: (out / name).read_bytes() for name, _ in runs}
+    got = {name: (out / name).read_bytes() for name, _ in runs}
+    # plan-sweep's --out names a directory, so its stdout is what is pinned
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["plan-sweep"]) == 0
+    got["plan_sweep.txt"] = stdout.getvalue().encode()
+    return got
 
 
 def test_cli_outputs_match_golden_bytes(fixture_paths):
