@@ -90,32 +90,11 @@ class BinnedWorkload:
         )
 
 
-def bin_counts_numpy(
-    inputs: np.ndarray,
-    outputs: np.ndarray,
-    input_bins: np.ndarray,
-    output_bins: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
-    """Vectorized ceiling-bin histogram.
-
-    Returns (counts[ni, no], excluded_input, excluded_output). A request over
-    both limits is tallied once, under excluded_input.
-    """
-    import numpy as np
-
-    over_in = inputs > input_bins[-1]
-    over_out = ~over_in & (outputs > output_bins[-1])
-    ok = ~(over_in | over_out)
-    ii = np.searchsorted(input_bins, inputs[ok], side="left")
-    oi = np.searchsorted(output_bins, outputs[ok], side="left")
-    flat = ii * output_bins.shape[0] + oi
-    counts = np.bincount(flat, minlength=input_bins.shape[0] * output_bins.shape[0])
-    counts = counts.reshape(input_bins.shape[0], output_bins.shape[0]).astype(np.int64)
-    return counts, int(over_in.sum()), int(over_out.sum())
-
-
 def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> BinnedWorkload:
-    """Bin parallel arrays of input/output token counts (the hot path)."""
+    """Bin parallel arrays of input/output token counts (the hot path) in one
+    vectorized pass. A request over both limits is tallied once, under
+    excluded_input.
+    """
     import numpy as np
 
     inputs = np.asarray(inputs, dtype=np.int64)
@@ -126,16 +105,19 @@ def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> Binned
         )
     if inputs.size and (inputs.min() < 0 or outputs.min() < 0):
         raise ValidationError("token counts must be nonnegative")
-    counts2d, excl_in, excl_out = bin_counts_numpy(
-        inputs, outputs,
-        np.asarray(grid.input_bins, dtype=np.int64),
-        np.asarray(grid.output_bins, dtype=np.int64),
-    )
-    counts: dict[Bin, int] = {}
-    for ii, oi in zip(*np.nonzero(counts2d)):
-        counts[Bin(grid.input_bins[ii], grid.output_bins[oi])] = int(counts2d[ii, oi])
-    return BinnedWorkload(grid=grid, counts=counts,
-                          excluded_input=excl_in, excluded_output=excl_out)
+    input_bins = np.asarray(grid.input_bins, dtype=np.int64)
+    output_bins = np.asarray(grid.output_bins, dtype=np.int64)
+    over_in = inputs > input_bins[-1]
+    over_out = ~over_in & (outputs > output_bins[-1])
+    ok = ~(over_in | over_out)
+    ii = np.searchsorted(input_bins, inputs[ok], side="left")
+    oi = np.searchsorted(output_bins, outputs[ok], side="left")
+    n_out = len(grid.output_bins)
+    flat = np.bincount(ii * n_out + oi, minlength=len(grid.input_bins) * n_out)
+    counts = {Bin(grid.input_bins[k // n_out], grid.output_bins[k % n_out]): int(flat[k])
+              for k in np.flatnonzero(flat).tolist()}
+    return BinnedWorkload(grid=grid, counts=counts, excluded_input=int(over_in.sum()),
+                          excluded_output=int(over_out.sum()))
 
 
 def bin_workload(requests: Iterable[Request], grid: BinGrid | None = None) -> BinnedWorkload:

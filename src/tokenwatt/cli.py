@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
-from .core import BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError
+from .core import BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError, parse_caps
 from .estimator import ESTIMATE_MODES, estimate
 from .flops import idealized_energy, joules_per_flop, workload_flops
 from .ingest import TRACE_FORMATS, TraceSource, load_trace, summarize_trace
@@ -51,13 +51,11 @@ def parse_grid(spec: str | None) -> BinGrid:
         return BinGrid()
     if ":" not in spec:
         raise ValidationError(f"grid spec must be 'I1,I2,...:O1,O2,...', got {spec!r}")
-    left, right = spec.split(":", 1)
     try:
-        input_bins = tuple(int(x) for x in left.split(","))
-        output_bins = tuple(int(x) for x in right.split(","))
+        caps = [parse_caps(side) for side in spec.split(":", 1)]
     except ValueError:
         raise ValidationError(f"grid spec has non-integer caps: {spec!r}") from None
-    return BinGrid(input_bins=input_bins, output_bins=output_bins)
+    return BinGrid(*caps)
 
 
 def _emit(text: str, out: str | None) -> None:

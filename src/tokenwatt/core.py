@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 INT64_MAX = 2**63 - 1
 J_PER_KWH = 3.6e6
@@ -163,11 +163,8 @@ class HardwareSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HardwareSpec":
-        kv = read_config_file(path)
-        required = {"name", "tdp", "peak_flops"}
-        _check_keys(kv, required, required, path)
-        return cls(name=kv["name"], tdp=_parse_float(kv, "tdp", path),
-                   peak_flops=_parse_float(kv, "peak_flops", path))
+        return cls(**read_config(path, "hardware",
+                                 {"name": str, "tdp": float, "peak_flops": float}))
 
 
 @dataclass(frozen=True)
@@ -215,16 +212,10 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
-        kv = read_config_file(path)
-        required = {"n_layers", "d_model", "n_heads", "n_kv_heads", "d_ff", "vocab_size"}
-        allowed = required | {"n_params", "tied_embeddings"}
-        _check_keys(kv, required, allowed, path)
-        kwargs = {k: _parse_int(kv, k, path) for k in required}
-        if "n_params" in kv:
-            kwargs["n_params"] = _parse_int(kv, "n_params", path)
-        if "tied_embeddings" in kv:
-            kwargs["tied_embeddings"] = _parse_bool(kv, "tied_embeddings", path)
-        return cls(**kwargs)
+        parsers = {k: int for k in ("n_layers", "d_model", "n_heads", "n_kv_heads", "d_ff",
+                                    "vocab_size", "n_params")}
+        return cls(**read_config(path, "model", {**parsers, "tied_embeddings": parse_bool},
+                                 optional=("n_params", "tied_embeddings")))
 
 
 def derive_param_count(config: ModelConfig) -> int:
@@ -298,23 +289,72 @@ def joules_or_none(energy: Optional[Energy]) -> Optional[float]:
     return None if energy is None else energy.joules
 
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a UTF-8 `key = value` config file (a leading byte-order mark is
-    ignored).
+def check_value(name: str, value: str) -> str:
+    """`value`, refused unless a csv field or a `key = value` line reads it
+    back as written: both readers split lines at `\\n` and `\\r` and strip
+    what they read, so it may hold no line break and no leading or trailing
+    whitespace."""
+    if value != value.strip() or "\n" in value or "\r" in value:
+        raise ValidationError(
+            f"{name} {value!r} cannot be written: it has a line break or "
+            f"leading or trailing whitespace"
+        )
+    return value
 
-    A line whose first non-blank character is `#` is a comment and blank
-    lines are skipped; elsewhere `#` is part of the value, so
-    `name = A100 #2` reads as `A100 #2`.
+
+def parse_caps(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list such as `32,128,256`: the caps of
+    `--grid`, of the `# input_bins`/`# output_bins` comments and a sweep
+    plan's points."""
+    return tuple(int(x) for x in text.split(","))
+
+
+def format_caps(caps: Iterable[int]) -> str:
+    """The text that parse_caps reads back as `caps`."""
+    return ",".join(map(str, caps))
+
+
+def parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("true", "1", "yes"):
+        return True
+    if value in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+# What each value parser accepts, as its error message names it.
+_READS = {int: "an integer", float: "a number", parse_bool: "a boolean",
+          parse_caps: "comma-separated integers"}
+
+
+def parse_value(parse: Callable[[str], Any], text: str, name: str) -> Any:
+    """`parse(text)`, with `parse` one of str, int, float, parse_bool and
+    parse_caps; text it refuses is a data error naming `name`."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValidationError(f"{name} must be {_READS[parse]}, got {text!r}") from None
+
+
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """The `key = value` pairs of a UTF-8 config file (a leading byte-order
+    mark is ignored).
+
+    Lines end at `\\n`, `\\r` or `\\r\\n`, as in csv files, and are
+    stripped, as are keys and values. A line whose first non-blank character
+    is `#` is a comment and blank lines are skipped; elsewhere `#` is part of
+    the value, so `name = A100 #2` reads as `A100 #2`.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_text(encoding="utf-8-sig")  # newlines become "\n"
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -330,33 +370,20 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def _check_keys(kv: dict[str, str], required: set[str], allowed: set[str], path) -> None:
-    missing = required - kv.keys()
-    if missing:
-        raise ValidationError(f"{path}: missing keys: {', '.join(sorted(missing))}")
-    unknown = kv.keys() - allowed
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
+def read_config(path: str | Path, kind: str, parsers: dict[str, Callable[[str], Any]],
+                optional: Iterable[str] = ()) -> dict[str, Any]:
+    """The values of a `kind` config file (model, hardware or plan), each
+    read by its key's parser (see parse_value). Every key of `parsers` not in
+    `optional` is required, and no other key is allowed."""
+    kv = read_config_file(path)
+    for problem, keys in (("missing", parsers.keys() - set(optional) - kv.keys()),
+                          ("unknown", kv.keys() - parsers.keys())):
+        if keys:
+            raise ValidationError(f"{path}: {problem} {kind} keys: {', '.join(sorted(keys))}")
+    return {key: parse_value(parsers[key], value, f"{path}: {key}") for key, value in kv.items()}
 
 
-def _parse_int(kv: dict[str, str], key: str, path) -> int:
-    try:
-        return int(kv[key])
-    except ValueError:
-        raise ValidationError(f"{path}: {key} must be an integer, got {kv[key]!r}") from None
-
-
-def _parse_float(kv: dict[str, str], key: str, path) -> float:
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ValidationError(f"{path}: {key} must be a number, got {kv[key]!r}") from None
-
-
-def _parse_bool(kv: dict[str, str], key: str, path) -> bool:
-    value = kv[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"{path}: {key} must be a boolean, got {kv[key]!r}")
+def format_config(items: Iterable[tuple[str, object]]) -> str:
+    """`key = value` lines that read_config_file reads back as `items`; a
+    value that would not read back as written is refused (check_value)."""
+    return "".join(f"{key} = {check_value(key, str(value))}\n" for key, value in items)

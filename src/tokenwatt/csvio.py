@@ -8,9 +8,9 @@ every comment, header and field, takes comments from anywhere in the file
 (a repeated key keeps its last value), skips blank lines and needs the
 header exactly.
 
-A value that would not read back as written is refused on write: a line
-break anywhere (`\\r` is not even quoted under `\\n` line endings), leading
-or trailing whitespace, or a `#` leading a row's first field.
+A value that would not read back as written is refused on write: one that
+core.check_value refuses (`\\r` is not even quoted under `\\n` line
+endings), or a `#` leading a row's first field.
 """
 
 from __future__ import annotations
@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .core import BinGrid, ValidationError
-
-
-def _check(name: str, value: str) -> str:
-    if value != value.strip() or "\n" in value or "\r" in value:
-        raise ValidationError(
-            f"{name} {value!r} cannot be written to csv: it has a line break or "
-            f"leading or trailing whitespace"
-        )
-    return value
+from .core import BinGrid, ValidationError, check_value, format_caps, parse_caps, parse_value
 
 
 def format_csv(
@@ -41,17 +32,17 @@ def format_csv(
 ) -> str:
     """The file text: `meta` comments, the header, `rows`, `footer` comments."""
     buf = io.StringIO()
-    buf.writelines(f"# {key} = {_check(key, str(value))}\n" for key, value in meta)
+    buf.writelines(f"# {key} = {check_value(key, str(value))}\n" for key, value in meta)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         for name, value in zip(header, row):
             if isinstance(value, str):
-                _check(name, value)
+                check_value(name, value)
         if isinstance(row[0], str) and row[0].startswith("#"):
             raise ValidationError(f"{header[0]} {row[0]!r} would read back as a comment")
         writer.writerow(row)
-    buf.writelines(f"# {key} = {_check(key, str(value))}\n" for key, value in footer)
+    buf.writelines(f"# {key} = {check_value(key, str(value))}\n" for key, value in footer)
     return buf.getvalue()
 
 
@@ -76,34 +67,20 @@ class CsvFile:
         value = self.meta.get(key)
         if value is None:
             return default
-        try:
-            return int(value)
-        except ValueError:
-            raise ValidationError(
-                f"{self.origin}: '# {key}' must be an integer, got {value!r}"
-            ) from None
+        return parse_value(int, value, f"{self.origin}: '# {key}'")
 
     def grid(self) -> Optional[BinGrid]:
         """The grid of the `# input_bins` and `# output_bins` comments, None
         unless both are present."""
-        caps = []
-        for key in ("input_bins", "output_bins"):
-            value = self.meta.get(key)
-            if value is None:
-                return None
-            try:
-                caps.append(tuple(int(x) for x in value.split(",")))
-            except ValueError:
-                raise ValidationError(
-                    f"{self.origin}: '# {key}' must be comma-separated integers, got {value!r}"
-                ) from None
-        return BinGrid(input_bins=caps[0], output_bins=caps[1])
+        caps = [parse_value(parse_caps, self.meta[key], f"{self.origin}: '# {key}'")
+                for key in ("input_bins", "output_bins") if key in self.meta]
+        return BinGrid(*caps) if len(caps) == 2 else None
 
 
 def grid_meta(grid: BinGrid) -> list[tuple[str, str]]:
     """The comments that CsvFile.grid reads back."""
-    return [("input_bins", ",".join(map(str, grid.input_bins))),
-            ("output_bins", ",".join(map(str, grid.output_bins)))]
+    return [("input_bins", format_caps(grid.input_bins)),
+            ("output_bins", format_caps(grid.output_bins))]
 
 
 def read_csv(path_or_buf, header: Sequence[str], what: str,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .core import Energy, ValidationError, joules_or_none
+from .core import J_PER_KWH, Energy, ValidationError, check_value, joules_or_none
 from .csvio import format_csv
 from .estimator import WorkloadEstimate
 from .ingest import TraceStats
@@ -176,7 +176,7 @@ class _Column(NamedTuple):
 
 
 def _kwh(joules: float) -> str:
-    return f"{joules / 3.6e6:.6e}"
+    return f"{joules / J_PER_KWH:.6e}"
 
 
 def _pct(value: float) -> str:
@@ -279,7 +279,16 @@ def _text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_names(*names: tuple[str, str]) -> None:
+    """Refuse, whatever the format, the (kind, value) names that a csv
+    report could not write (see check_value)."""
+    for name, value in names:
+        check_value(name, value)
+
+
 def _comparison(c: Comparison, format: str) -> str:
+    _check_names(("dataset", c.dataset), ("reference", c.reference_label),
+                 *(("label", e.label) for e in c.entries))
     if format == "json":
         # The reference label is left out here, though the csv context has
         # it, and excluded_requests comes after the entries.
@@ -308,6 +317,7 @@ def _comparison(c: Comparison, format: str) -> str:
 
 
 def _estimate(w: WorkloadEstimate, format: str) -> str:
+    _check_names(("label", w.label), ("backend", w.backend), ("device", w.device))
     if format == "json":
         # The totals are top-level fields here and a TOTAL row in csv.
         return _dump({
@@ -348,6 +358,7 @@ def _estimate(w: WorkloadEstimate, format: str) -> str:
 
 
 def _baseline(b: BaselineReport, format: str) -> str:
+    _check_names(("dataset", b.dataset), ("model", b.model_name))
     if format == "json":
         return _dump({"kind": "baseline", **_record(_BASELINE_FIELDS, b)})
     if format == "csv":
@@ -360,6 +371,7 @@ def _baseline(b: BaselineReport, format: str) -> str:
 
 
 def _stats(t: TraceReport, format: str) -> str:
+    _check_names(("dataset", t.dataset))
     rows = [("input", t.count, t.input_stats), ("output", t.count, t.output_stats)]
     if format == "json":
         # One object per token column, each without the count, which the

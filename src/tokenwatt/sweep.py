@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import BinGrid, ValidationError, read_config_file
+from .core import (
+    BinGrid,
+    ValidationError,
+    format_caps,
+    format_config,
+    parse_caps,
+    read_config,
+)
 from .tables import (
     LARGE_BATCH_THRESHOLD,
     MeasurementTable,
@@ -21,7 +28,11 @@ from .tables import (
     PROTOCOL_WARMUP_BATCHES,
 )
 
-AXES = ("input_length", "output_length", "batch_size")
+# Each axis, with the key that pins it in a plan file and its tag in plan
+# file names.
+_AXIS_NAMES = {"input_length": ("fixed_input", "in"), "output_length": ("fixed_output", "out"),
+               "batch_size": ("fixed_batch", "batch")}
+AXES = tuple(_AXIS_NAMES)
 TRUNCATION_SOURCE = "PG19"  # long-context sweep inputs come from truncated PG19 text
 
 
@@ -37,7 +48,6 @@ class SweepPlan:
     samples_per_point: int
     warmup_batches: int = PROTOCOL_WARMUP_BATCHES
     truncation_source: str = TRUNCATION_SOURCE
-    allow_non_pow2: bool = False
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
@@ -53,12 +63,9 @@ class SweepPlan:
             raise ValidationError("points must be positive")
         if any(b <= a for a, b in zip(self.points, self.points[1:])):
             raise ValidationError(f"points must be strictly increasing, got {self.points}")
-        if not self.allow_non_pow2:
-            bad = [p for p in self.points if not _is_pow2(p)]
-            if bad:
-                raise ValidationError(
-                    f"points must be powers of two (or set allow_non_pow2): {bad}"
-                )
+        bad = [p for p in self.points if not _is_pow2(p)]
+        if bad:
+            raise ValidationError(f"points must be powers of two: {bad}")
         if any(v < 1 for v in self.fixed.values()):
             raise ValidationError(f"fixed values must be positive, got {self.fixed}")
         if self.warmup_batches < 0:
@@ -93,8 +100,8 @@ class SweepPlan:
 
     @property
     def filename(self) -> str:
-        short = {"input_length": "in", "output_length": "out", "batch_size": "batch"}
-        desc = "_".join(f"{short[a]}{self.fixed[a]}" for a in AXES if a != self.axis)
+        desc = "_".join(f"{tag}{self.fixed[axis]}"
+                        for axis, (_, tag) in _AXIS_NAMES.items() if axis != self.axis)
         return f"sweep_{self.axis}_{desc}.cfg"
 
 
@@ -140,65 +147,48 @@ def default_sweep_plans() -> list[SweepPlan]:
 
 
 def format_plan(plan: SweepPlan) -> str:
-    fixed_keys = {"input_length": "fixed_input", "output_length": "fixed_output",
-                  "batch_size": "fixed_batch"}
-    lines = [f"axis = {plan.axis}"]
-    for axis in AXES:
-        if axis != plan.axis:
-            lines.append(f"{fixed_keys[axis]} = {plan.fixed[axis]}")
-    lines.append("points = " + ",".join(str(p) for p in plan.points))
-    lines.append(f"samples_per_point = {plan.samples_per_point}")
-    lines.append(f"warmup_batches = {plan.warmup_batches}")
-    lines.append(f"truncation_source = {plan.truncation_source}")
-    if plan.normalization_note:
-        lines.insert(0, f"# {plan.normalization_note}")
-    return "\n".join(lines) + "\n"
+    """The plan file text that read_plan reads back as `plan`; a text value
+    that would not read back is refused."""
+    fixed = [(key, plan.fixed[axis])
+             for axis, (key, _) in _AXIS_NAMES.items() if axis != plan.axis]
+    text = format_config([
+        ("axis", plan.axis),
+        *fixed,
+        ("points", format_caps(plan.points)),
+        ("samples_per_point", plan.samples_per_point),
+        ("warmup_batches", plan.warmup_batches),
+        ("truncation_source", plan.truncation_source),
+    ])
+    note = plan.normalization_note
+    return f"# {note}\n{text}" if note else text
 
 
 def write_plans(plans: Sequence[SweepPlan], directory) -> list[Path]:
+    """Write one file per plan; a plan that would not read back is refused
+    before any file is written."""
+    texts = [format_plan(plan) for plan in plans]
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for plan in plans:
+    for plan, text in zip(plans, texts):
         path = out_dir / plan.filename
-        path.write_text(format_plan(plan), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written
 
 
+# How read_plan reads each plan file key; a missing fixed key is left to
+# SweepPlan's check of which axes are pinned.
+_PLAN_KEYS = {"axis": str, "points": parse_caps, "samples_per_point": int,
+              "warmup_batches": int, "truncation_source": str,
+              **{key: int for key, _ in _AXIS_NAMES.values()}}
+
+
 def read_plan(path) -> SweepPlan:
-    values = read_config_file(path)
-    known = {"axis", "fixed_input", "fixed_output", "fixed_batch", "points",
-             "samples_per_point", "warmup_batches", "truncation_source"}
-    unknown = set(values) - known
-    if unknown:
-        raise ValidationError(f"unknown plan keys in {path}: {sorted(unknown)}")
-    for key in ("axis", "points", "samples_per_point", "warmup_batches"):
-        if key not in values:
-            raise ValidationError(f"plan {path} is missing key {key!r}")
-    axis_of_key = {"fixed_input": "input_length", "fixed_output": "output_length",
-                   "fixed_batch": "batch_size"}
-    fixed = {}
-    for key, axis in axis_of_key.items():
-        if key in values:
-            try:
-                fixed[axis] = int(values[key])
-            except ValueError:
-                raise ValidationError(f"plan {path}: {key} is not an integer") from None
-    try:
-        points = tuple(int(x) for x in values["points"].split(","))
-        samples = int(values["samples_per_point"])
-        warmup = int(values["warmup_batches"])
-    except ValueError:
-        raise ValidationError(f"plan {path}: numeric field is not an integer") from None
-    return SweepPlan(
-        axis=values["axis"],
-        fixed=fixed,
-        points=points,
-        samples_per_point=samples,
-        warmup_batches=warmup,
-        truncation_source=values.get("truncation_source", TRUNCATION_SOURCE),
-    )
+    values = read_config(path, "plan", _PLAN_KEYS, optional=(
+        "truncation_source", *(key for key, _ in _AXIS_NAMES.values())))
+    fixed = {axis: values.pop(key) for axis, (key, _) in _AXIS_NAMES.items() if key in values}
+    return SweepPlan(fixed=fixed, **values)
 
 
 def grid_covered_by_plans(grid: BinGrid, plans: Iterable[SweepPlan]) -> bool:

@@ -327,16 +327,16 @@ def write_table(table: MeasurementTable, path_or_buf) -> None:
     ))
 
 
-def load_table(path_or_buf, grid: Optional[BinGrid] = None) -> MeasurementTable:
+def load_table(path_or_buf) -> MeasurementTable:
     """Parse and validate a measurement-table csv.
 
     The grid comes from `# input_bins / # output_bins` comments when present,
-    then the `grid` argument, then the default grid. Energy columns are
-    converted to joules using the row's energy_unit.
+    else it is the default grid. Energy columns are converted to joules using
+    the row's energy_unit.
     """
     f = read_csv(path_or_buf, TABLE_COLUMNS, "measurement table", _parse_record)
     metadata = TableMetadata(
-        grid=f.grid() or grid or BinGrid(),
+        grid=f.grid() or BinGrid(),
         protocol_samples=f.meta_int("protocol_samples", PROTOCOL_SAMPLES),
         normalization_note=f.meta.get("normalization_note", NORMALIZATION_NOTE),
         padding_policy=f.meta.get("padding_policy", "unspecified"),

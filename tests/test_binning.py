@@ -67,6 +67,32 @@ def test_bin_arrays_matches_scalar_path(rng):
     assert workload.total_requests == 5000
 
 
+def test_bin_arrays_agrees_with_map_to_bin_on_any_grid():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    caps = st.lists(st.integers(1, 5000), min_size=1, max_size=8, unique=True).map(sorted)
+    tokens = st.integers(0, 6000) | st.sampled_from([0, 1, 2**63 - 1])
+
+    @hypothesis.given(caps, caps, st.lists(st.tuples(tokens, tokens), max_size=60))
+    def check(input_bins, output_bins, pairs):
+        grid = BinGrid(input_bins=tuple(input_bins), output_bins=tuple(output_bins))
+        expected: dict[Bin, int] = {}
+        overflow = {Overflow.INPUT: 0, Overflow.OUTPUT: 0}
+        for i, o in pairs:
+            target = map_to_bin(Request(i, o), grid)
+            if isinstance(target, Overflow):
+                overflow[target] += 1
+            else:
+                expected[target] = expected.get(target, 0) + 1
+        columns = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        workload = bin_arrays(columns[:, 0], columns[:, 1], grid)
+        assert workload.counts == expected
+        assert workload.excluded_input == overflow[Overflow.INPUT]
+        assert workload.excluded_output == overflow[Overflow.OUTPUT]
+
+    check()
+
+
 def test_bin_arrays_rejects_negative():
     with pytest.raises(ValidationError):
         bin_arrays(np.array([-1]), np.array([2]), DEFAULT_GRID)

@@ -229,6 +229,18 @@ def test_compare_estimates_of_different_workloads_is_a_data_error(fixture_paths,
     assert "disagree on excluded_requests" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a "])
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown-table"])
+def test_names_csv_cannot_write_are_refused_in_every_format(fixture_paths, capsys, fmt, label):
+    assert run("estimate", "--trace", str(fixture_paths["trace"]),
+               "--table", str(fixture_paths["table"]), "--backend", "vllm", "--device", "A100",
+               "--label", label, "--format", fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: label {label!r} cannot be written: it has a line break " \
+                           f"or leading or trailing whitespace\n"
+
+
 def test_markdown_escapes_pipes_in_names(fixture_paths, capsys):
     d = fixture_paths["dir"]
     table = d / "synth.csv"

@@ -158,6 +158,18 @@ def test_config_file_parsing(tmp_path):
         read_config_file(path)
 
 
+@pytest.mark.parametrize("char", ["\x1c", "\u2028", "\x85", "\x0c"])
+def test_config_lines_end_only_at_newlines(tmp_path, char):
+    # str.splitlines would also end a line at each of these characters
+    path = tmp_path / "hw.cfg"
+    path.write_text(f"name = A{char}100\r\ntdp = 300\rpeak_flops = 1e12\n", encoding="utf-8")
+    assert HardwareSpec.from_file(path).name == f"A{char}100"
+    path.write_text(f"# a{char}comment\nx{char}y\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        read_config_file(path)
+    assert str(exc.value) == f"{path}:2: expected `key = value`, got {f'x{char}y'!r}"
+
+
 def test_config_from_file_roundtrip(tmp_path):
     hw_path = tmp_path / "hw.cfg"
     hw_path.write_text("name = A100\ntdp = 300\npeak_flops = 309.7e12\n", encoding="utf-8")

@@ -1,5 +1,8 @@
+import io
+
 import pytest
 
+import tokenwatt.cli as cli
 from tokenwatt import (
     Bin,
     BinGrid,
@@ -8,6 +11,7 @@ from tokenwatt import (
     ValidationError,
     grid_covered_by_plans,
     default_sweep_plans,
+    read_binned_csv,
     read_plan,
     synthesize_table,
     validate_table_against_plan,
@@ -62,9 +66,6 @@ def test_plan_validation():
     with pytest.raises(ValidationError, match="powers of two"):
         SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
                   points=(3, 5), samples_per_point=1024)
-    plan = SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
-                     points=(3, 5), samples_per_point=1024, allow_non_pow2=True)
-    assert plan.points == (3, 5)
     with pytest.raises(ValidationError, match="increasing"):
         SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
                   points=(8, 8), samples_per_point=1024)
@@ -95,6 +96,71 @@ def test_plan_file_roundtrip(tmp_path):
                        points=(32, 64), samples_per_point=1024, truncation_source="PG19 #2")
     [path] = write_plans([marked], tmp_path / "marked")
     assert read_plan(path) == marked
+
+
+def test_plan_text_round_trips_or_is_refused_on_write(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    out = tmp_path / "plans"
+
+    # explicit examples: text the reader strips, a lone `\r`, characters at
+    # which str.splitlines would end a line, and the empty value
+    @hypothesis.given(st.text())
+    @hypothesis.example(" PG19")
+    @hypothesis.example("a\rb")
+    @hypothesis.example("a\x1cb")
+    @hypothesis.example("a\u2028b")
+    @hypothesis.example("")
+    def check(source):
+        plan = SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
+                         points=(32, 64), samples_per_point=1024, truncation_source=source)
+        try:
+            [path] = write_plans([plan], out)
+        except ValidationError as exc:
+            assert "truncation_source" in str(exc)
+            assert not (out / plan.filename).exists()
+            return
+        assert read_plan(path) == plan
+        path.unlink()
+
+    check()
+
+
+PLAN_HEAD = "axis = input_length\nfixed_output = 64\nfixed_batch = 1\n"
+PLAN_TAIL = "samples_per_point = 1024\nwarmup_batches = 20\n"
+
+
+@pytest.mark.parametrize("caps", ["32,64", " 32 , 64", "+32,64", "32,,64", "32;64", "32.0,64",
+                                  "32,64,", "0x20,64", ""])
+def test_grid_flag_grid_comments_and_plan_points_read_the_same_caps(tmp_path, caps):
+    def read(how):
+        try:
+            return how()
+        except ValidationError:
+            return "refused"
+
+    path = tmp_path / "plan.cfg"
+    path.write_text(f"{PLAN_HEAD}points = {caps}\n{PLAN_TAIL}", encoding="utf-8")
+    binned = f"# input_bins = {caps}\n# output_bins = 8\ninput_cap,output_cap,count\n"
+    flag = read(lambda: cli.parse_grid(f"{caps}:8").input_bins)
+    assert flag == read(lambda: read_binned_csv(io.StringIO(binned)).grid.input_bins)
+    assert flag == read(lambda: read_plan(path).points)
+    assert (flag == (32, 64)) == (caps in ("32,64", " 32 , 64", "+32,64"))
+
+
+@pytest.mark.parametrize("text,message", [
+    (PLAN_HEAD + PLAN_TAIL, "missing plan keys: points"),
+    (PLAN_HEAD + "points = 32,x\n" + PLAN_TAIL,
+     "points must be comma-separated integers, got '32,x'"),
+    (PLAN_HEAD + "points = 32\nsamples_per_point = many\nwarmup_batches = 20\n",
+     "samples_per_point must be an integer, got 'many'"),
+])
+def test_read_plan_errors_name_file_and_key(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        read_plan(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_plan_format_keys():
