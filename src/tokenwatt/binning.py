@@ -156,7 +156,7 @@ def read_binned_csv(path_or_buf) -> BinnedWorkload:
     grid = f.grid()
     if grid is None:
         raise ValidationError(
-            f"{f.origin}: missing '# input_bins = ...' or '# output_bins = ...' header comment"
+            f"{f.origin}: missing '# input_bins = ...' and '# output_bins = ...' comments"
         )
     counts = {Bin(i, o): c for i, o, c in f.rows if c > 0}
     if len(counts) != sum(1 for _, _, c in f.rows if c > 0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -184,6 +185,9 @@ def cmd_compare(args) -> int:
     paths = [p for p in args.estimates.split(",") if p]
     if not paths:
         raise ValidationError("--estimates needs at least one file")
+    if not 0 <= args.baseline_j < math.inf:
+        raise ValidationError(
+            f"--baseline-j must be finite and nonnegative, got {args.baseline_j}")
     comparison = compare(
         [_load_estimate_file(path) for path in paths],
         optimal=Energy(args.baseline_j),

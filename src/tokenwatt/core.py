@@ -156,15 +156,15 @@ class HardwareSpec:
     peak_flops: float  # FLOP/s
 
     def __post_init__(self) -> None:
-        if self.tdp <= 0:
-            raise ValidationError(f"tdp must be positive, got {self.tdp}")
-        if self.peak_flops <= 0:
-            raise ValidationError(f"peak_flops must be positive, got {self.peak_flops}")
+        if not 0 < self.tdp < math.inf:
+            raise ValidationError(f"tdp must be positive and finite, got {self.tdp}")
+        if not 0 < self.peak_flops < math.inf:
+            raise ValidationError(f"peak_flops must be positive and finite, got {self.peak_flops}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HardwareSpec":
         return cls(**read_config(path, "hardware",
-                                 {"name": str, "tdp": float, "peak_flops": float}))
+                                 {"name": str, "tdp": parse_finite, "peak_flops": parse_finite}))
 
 
 @dataclass(frozen=True)
@@ -314,6 +314,14 @@ def format_caps(caps: Iterable[int]) -> str:
     return ",".join(map(str, caps))
 
 
+def parse_finite(text: str) -> float:
+    """A float other than nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def parse_bool(text: str) -> bool:
     value = text.lower()
     if value in ("true", "1", "yes"):
@@ -324,13 +332,13 @@ def parse_bool(text: str) -> bool:
 
 
 # What each value parser accepts, as its error message names it.
-_READS = {int: "an integer", float: "a number", parse_bool: "a boolean",
+_READS = {int: "an integer", parse_finite: "a finite number", parse_bool: "a boolean",
           parse_caps: "comma-separated integers"}
 
 
 def parse_value(parse: Callable[[str], Any], text: str, name: str) -> Any:
-    """`parse(text)`, with `parse` one of str, int, float, parse_bool and
-    parse_caps; text it refuses is a data error naming `name`."""
+    """`parse(text)`, with `parse` one of str, int, parse_finite, parse_bool
+    and parse_caps; text it refuses is a data error naming `name`."""
     try:
         return parse(text)
     except ValueError:

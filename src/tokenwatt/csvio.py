@@ -71,10 +71,14 @@ class CsvFile:
 
     def grid(self) -> Optional[BinGrid]:
         """The grid of the `# input_bins` and `# output_bins` comments, None
-        unless both are present."""
-        caps = [parse_value(parse_caps, self.meta[key], f"{self.origin}: '# {key}'")
-                for key in ("input_bins", "output_bins") if key in self.meta]
-        return BinGrid(*caps) if len(caps) == 2 else None
+        when neither is present; one without the other is a data error."""
+        caps = {key: parse_value(parse_caps, self.meta[key], f"{self.origin}: '# {key}'")
+                for key in ("input_bins", "output_bins") if key in self.meta}
+        if len(caps) == 1:
+            (have,) = caps
+            missing = "output_bins" if have == "input_bins" else "input_bins"
+            raise ValidationError(f"{self.origin}: has '# {have}' but no '# {missing}' comment")
+        return BinGrid(**caps) if caps else None
 
 
 def grid_meta(grid: BinGrid) -> list[tuple[str, str]]:

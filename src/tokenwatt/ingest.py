@@ -6,12 +6,16 @@ single-pass into two int64 columns; malformed rows abort the run unless
 permissive mode is on, in which case they are skipped and reported.
 
 A csv trace is read in chunks of _CHUNK_LINES physical lines. Each chunk's
-token columns come from one np.loadtxt call; a chunk that holds a quote
-character or a line longer than the csv module's field size limit, or that
-loadtxt cannot parse exactly (a bad, negative or missing value), goes
+token columns come from one np.loadtxt call. A chunk that holds a quote
+character or a line longer than the csv module's field size limit goes
 through the csv row parser instead, which gives each malformed row its
 physical line number and message, and fails on an oversized field as
-csv.DictReader does.
+csv.DictReader does. A chunk that loadtxt cannot parse exactly (a bad,
+negative or missing value) is sifted: the lines whose two token fields are
+plain 1-18 digit numbers go through one more loadtxt call, and only the
+others, blank lines included, are checked one row at a time as the row
+parser checks them; the valid ones among those (such as ` 7 ` or `+4`) are
+put back in file order.
 
 numpy is imported inside the functions that build or read token columns, so
 importing this module (as every command does) does not load it.
@@ -22,10 +26,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from operator import not_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -152,13 +158,13 @@ def _parse_csv(lines: Iterator[str], source: TraceSource):
         if col not in index:
             raise ValidationError(f"{source.path}: missing column {col!r}; header has {header}")
         columns.append((index[col], col))
-    usecols = tuple(i for i, _ in columns)
+    plain = _plain_line(tuple(i for i, _ in columns))
     inputs: list[np.ndarray] = []
     outputs: list[np.ndarray] = []
     malformed: list[RowError] = []
     line = reader.line_num
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        block = _parse_chunk(chunk, usecols)
+        block = _parse_chunk(chunk, line, columns, plain, malformed)
         if block is None:
             block, read = _parse_rows(chain(chunk, lines), len(chunk), line, columns, malformed)
         else:
@@ -169,27 +175,62 @@ def _parse_csv(lines: Iterator[str], source: TraceSource):
     return RequestColumns(_concat(inputs), _concat(outputs)), malformed
 
 
-def _parse_chunk(chunk: list[str], usecols: tuple[int, int]):
-    """(rows, 2) token block of a chunk from one numpy call, or None when
-    the chunk needs the row parser."""
+def _plain_line(usecols: tuple[int, int]):
+    """`match` of a quote-free line whose token fields are 1-18 ASCII digits
+    (so below 2**63), each followed by a comma or the end of the line."""
+    fields = ["[0-9]{1,18}" if k in usecols else "[^,]*" for k in range(max(usecols) + 1)]
+    return re.compile(",".join(fields) + "(?![^,\r\n])").match
+
+
+def _parse_chunk(chunk: list[str], first_line: int, columns, plain,
+                 malformed: list[RowError]):
+    """(rows, 2) token block of a chunk, or None when the chunk needs the row
+    parser.
+
+    A chunk that the first loadtxt refuses is sifted: the lines `plain`
+    matches are parsed by one more loadtxt, the others are checked one row
+    at a time (errors go to `malformed`, numbered from `first_line`) and the
+    valid ones are put back in file order.
+    """
     import numpy as np
 
+    usecols = tuple(i for i, _ in columns)
     rows = len(chunk) - chunk.count("\n") - chunk.count("\r\n") - chunk.count("\r")
     if rows == 0:  # loadtxt warns on input with no data
         return np.empty((0, 2), dtype=np.int64)
     if '"' in "".join(chunk) or max(map(len, chunk)) > csv.field_size_limit():
         return None
+    block = _loadtxt(chunk, usecols)
+    if block is not None and len(block) == rows and block.min() >= 0:
+        return block
+    refused = list(map(not_, map(plain, chunk)))
+    plain_lines = list(compress(chunk, map(not_, refused)))
+    block = _loadtxt(plain_lines, usecols) if plain_lines else np.empty((0, 2), dtype=np.int64)
+    if block is None or len(block) != len(plain_lines):
+        return None
+    at: list[int] = []
+    kept: list[tuple[int, int]] = []
+    at_refused = compress(range(len(chunk)), refused)
+    for j, (k, row) in enumerate(zip(at_refused, csv.reader(compress(chunk, refused)))):
+        pair = _row_tokens(row, first_line + k + 1, columns, malformed)
+        if pair is not None:
+            at.append(k - j)  # the plain lines before line k
+            kept.append(pair)
+    return np.insert(block, at, kept, axis=0) if kept else block
+
+
+def _loadtxt(lines: list[str], usecols: tuple[int, int]):
+    """(rows, 2) int64 token block of `lines`, or None when loadtxt refuses them."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             # older numpy parses "1.5" as 1 with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            block = np.loadtxt(chunk, delimiter=",", dtype=np.int64, usecols=usecols,
-                               comments=None, ndmin=2)
+            return np.loadtxt(lines, delimiter=",", dtype=np.int64, usecols=usecols,
+                              comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
-    if len(block) != rows or block.min() < 0:
-        return None
-    return block
 
 
 def _parse_rows(lines: Iterator[str], stop: int, first_line: int, columns,
@@ -202,23 +243,30 @@ def _parse_rows(lines: Iterator[str], stop: int, first_line: int, columns,
     """
     import numpy as np
 
-    (in_idx, in_col), (out_idx, out_col) = columns
-    inputs: list[int] = []
-    outputs: list[int] = []
+    pairs: list[tuple[int, int]] = []
     reader = csv.reader(lines)
     for row in reader:
-        if row:  # csv.DictReader skips blank lines
-            try:
-                i = _token_value(row[in_idx] if in_idx < len(row) else None, in_col)
-                o = _token_value(row[out_idx] if out_idx < len(row) else None, out_col)
-            except ValidationError as exc:
-                malformed.append(RowError(line=first_line + reader.line_num, message=str(exc)))
-            else:
-                inputs.append(i)
-                outputs.append(o)
+        pair = _row_tokens(row, first_line + reader.line_num, columns, malformed)
+        if pair is not None:
+            pairs.append(pair)
         if reader.line_num >= stop:
             break
-    return np.array((inputs, outputs), dtype=np.int64).T, reader.line_num
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), reader.line_num
+
+
+def _row_tokens(row: list[str], line: int, columns, malformed: list[RowError]):
+    """(input, output) tokens of a csv row, or None for a blank row (skipped,
+    as csv.DictReader skips it) and for a malformed one, which is recorded
+    in `malformed` under physical line `line`."""
+    if not row:
+        return None
+    (in_idx, in_col), (out_idx, out_col) = columns
+    try:
+        return (_token_value(row[in_idx] if in_idx < len(row) else None, in_col),
+                _token_value(row[out_idx] if out_idx < len(row) else None, out_col))
+    except ValidationError as exc:
+        malformed.append(RowError(line=line, message=str(exc)))
+        return None
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:

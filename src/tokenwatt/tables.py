@@ -275,8 +275,8 @@ def synthesize_table(
     """
     if not 0 < efficiency <= 1:
         raise ValidationError(f"efficiency must be in (0, 1], got {efficiency}")
-    if decode_penalty < 1:
-        raise ValidationError(f"decode_penalty must be >= 1, got {decode_penalty}")
+    if not 1 <= decode_penalty < math.inf:
+        raise ValidationError(f"decode_penalty must be >= 1 and finite, got {decode_penalty}")
     if not 0 < memory_bytes < math.inf:
         raise ValidationError(f"memory_bytes must be positive and finite, got {memory_bytes}")
     device = device if device is not None else hw.name
@@ -330,9 +330,9 @@ def write_table(table: MeasurementTable, path_or_buf) -> None:
 def load_table(path_or_buf) -> MeasurementTable:
     """Parse and validate a measurement-table csv.
 
-    The grid comes from `# input_bins / # output_bins` comments when present,
-    else it is the default grid. Energy columns are converted to joules using
-    the row's energy_unit.
+    The grid comes from the `# input_bins / # output_bins` comments, else it
+    is the default grid; one comment without the other is a data error.
+    Energy columns are converted to joules using the row's energy_unit.
     """
     f = read_csv(path_or_buf, TABLE_COLUMNS, "measurement table", _parse_record)
     metadata = TableMetadata(

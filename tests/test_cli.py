@@ -420,7 +420,34 @@ def test_non_finite_baseline_j_is_a_data_error(fixture_paths, capsys, value):
                "--device", "A100", "--out", str(d / "vllm.json")) == 0
     assert run("compare", "--estimates", str(d / "vllm.json"), "--baseline-j", value,
                "--reference", "vllm", "--format", "csv") == 2
-    assert "finite" in _one_error_line(capsys)
+    assert _one_error_line(capsys) == \
+        f"error: --baseline-j must be finite and nonnegative, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["baseline", "synth-table"])
+@pytest.mark.parametrize("key", ["tdp", "peak_flops"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_hardware_value_names_file_and_key(fixture_paths, capsys, command, key,
+                                                      value):
+    # an inf peak_flops would price the floor at 0 J, and a nan tdp would fail
+    # only at the first Energy, naming no file
+    hw = fixture_paths["hw"]
+    text = hw.read_text(encoding="utf-8")
+    hw.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text), encoding="utf-8")
+    argv = {"baseline": ["--trace", str(fixture_paths["trace"])],
+            "synth-table": ["--efficiency", "0.5", "--decode-penalty", "2.0"]}[command]
+    assert run(command, "--model", str(fixture_paths["model"]), "--hw", str(hw), *argv) == 2
+    assert _one_error_line(capsys) == \
+        f"error: {hw}: {key} must be a finite number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_decode_penalty_is_a_data_error(fixture_paths, capsys, value):
+    assert run("synth-table", "--model", str(fixture_paths["model"]),
+               "--hw", str(fixture_paths["hw"]), "--efficiency", "0.5",
+               "--decode-penalty", value) == 2
+    assert _one_error_line(capsys) == \
+        f"error: decode_penalty must be >= 1 and finite, got {value}\n"
 
 
 def test_synth_table_name_with_comma_loads_back(fixture_paths, capsys):

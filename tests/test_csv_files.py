@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tokenwatt.cli as cli
-from tokenwatt import ValidationError
+from tokenwatt import BinGrid, ValidationError, load_table, read_binned_csv
 from tokenwatt.csvio import format_csv, read_csv, write_csv
 
 HEADER = ("name", "label", "x", "y")
@@ -127,6 +127,24 @@ def test_reader_errors_name_origin_and_line(text, message):
     with pytest.raises(ValidationError) as exc:
         read_csv(io.StringIO(text), HEADER, "test file", _keep).meta_int("x", 0)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("comments,message", [
+    ("", "<stream>: missing '# input_bins = ...' and '# output_bins = ...' comments"),
+    ("# input_bins = 256,1024\n", "<stream>: has '# input_bins' but no '# output_bins' comment"),
+    ("# output_bins = 8,64\n", "<stream>: has '# output_bins' but no '# input_bins' comment"),
+])
+def test_grid_comments_come_in_pairs(fixture_paths, comments, message):
+    with pytest.raises(ValidationError) as exc:
+        read_binned_csv(io.StringIO(comments + "input_cap,output_cap,count\n256,8,1\n"))
+    assert str(exc.value) == message
+    table = io.StringIO(comments + fixture_paths["table"].read_text(encoding="utf-8"))
+    if comments:
+        with pytest.raises(ValidationError) as exc:
+            load_table(table)
+        assert str(exc.value) == message
+    else:
+        assert load_table(table).metadata.grid == BinGrid()
 
 
 def test_reader_file_errors(tmp_path):

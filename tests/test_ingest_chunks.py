@@ -1,10 +1,11 @@
 """Chunked columnar ingest against one-row-at-a-time references.
 
 The csv reader parses blocks of physical lines with numpy and hands a block
-to the row parser when it holds a quote, a line longer than the csv module's
-field size limit or a value numpy cannot take as is; chunk sizes 1, 2 and 7
-put quoted multi-line records, CRLF pairs and blank runs across chunk
-boundaries.
+to the row parser when it holds a quote or a line longer than the csv
+module's field size limit. A block with a value numpy cannot take as is is
+sifted: its plain lines go to numpy again and only the rest are checked row
+by row. Chunk sizes 1, 2 and 7 put quoted multi-line records, CRLF pairs
+and blank runs across chunk boundaries.
 """
 
 import csv
@@ -32,19 +33,20 @@ _QUOTED = st.text(alphabet='0123456789,\r\n x"', max_size=6).map(
     lambda t: '"' + t.replace('"', '""') + '"')
 _STRAY_QUOTE = st.sampled_from(['"', '4"2', '"7'])
 _CELL = st.one_of(_GOOD, _GOOD, _ODD, _QUOTED, _STRAY_QUOTE)
+_UNQUOTED_CELL = st.one_of(_GOOD, _GOOD, _ODD)
 _EOL = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
-def csv_bodies(draw) -> str:
+def csv_bodies(draw, cell=_CELL) -> str:
     """A header naming both token columns (among others, maybe repeated)
-    and rows with bad, quoted, missing and extra cells and blank lines."""
+    and rows of `cell`s, some missing or extra, and blank lines."""
     extra = draw(st.lists(st.sampled_from(["input_tokens", "output_tokens", "x"]), max_size=3))
     header = draw(st.permutations(["input_tokens", "output_tokens", *extra]))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 30))):
         width = draw(st.sampled_from([0, len(header) - 1, len(header), len(header), len(header) + 1]))
-        lines.append(",".join(draw(st.lists(_CELL, min_size=width, max_size=width))))
+        lines.append(",".join(draw(st.lists(cell, min_size=width, max_size=width))))
     body = "".join(line + draw(_EOL) for line in lines)
     return body if draw(st.booleans()) else body.rstrip("\r\n")
 
@@ -77,6 +79,41 @@ def test_chunked_csv_matches_row_oracle(tmp_path, chunk_lines):
         assert [(e.line, e.message) for e in load.malformed] == errors
 
     check()
+
+
+@pytest.mark.parametrize("chunk_lines", CHUNK_LINES)
+def test_sifted_chunks_match_row_oracle(tmp_path, chunk_lines):
+    # no quote anywhere, so a chunk numpy refuses is sifted rather than
+    # handed whole to the row parser; valid odd cells (" 7 ", "+4", "1_0")
+    # must come back at their place in file order, with the others' errors
+    # on their physical lines
+    path = tmp_path / "trace.csv"
+
+    @given(body=csv_bodies(_UNQUOTED_CELL))
+    def check(body):
+        path.write_text(body, encoding="utf-8", newline="")
+        rows, errors = oracle_parse_csv(body)
+        with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+            load = load_trace(TraceSource(path=str(path), format="generic-csv"), permissive=True)
+        cols = load.requests
+        assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
+        assert [(e.line, e.message) for e in load.malformed] == errors
+
+    check()
+
+
+def test_sift_checks_only_the_refused_lines(tmp_path):
+    lines = [f"{k},{k % 97}" for k in range(ingest._CHUNK_LINES)]
+    lines[40_000] = "7,x"
+    source = _csv_source(tmp_path, "input_tokens,output_tokens\n" + "\n".join(lines) + "\n")
+    with mock.patch.object(ingest, "_token_value", wraps=ingest._token_value) as token_value:
+        load = load_trace(source, permissive=True)
+    assert [c.args for c in token_value.call_args_list] == [
+        ("7", "input_tokens"), ("x", "output_tokens")]
+    assert [(e.line, e.message) for e in load.malformed] == [
+        (40_002, "column 'output_tokens' is not an integer: 'x'")]
+    assert len(load.requests) == ingest._CHUNK_LINES - 1
+    assert load.requests.inputs[40_000] == 40_001
 
 
 def _csv_source(tmp_path, text):
