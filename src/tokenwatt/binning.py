@@ -122,10 +122,8 @@ def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> Binned
 
 def bin_workload(requests: Iterable[Request], grid: BinGrid | None = None) -> BinnedWorkload:
     """Histogram a request trace over the grid (default grid if omitted)."""
-    if grid is None:
-        grid = BinGrid()
     columns = RequestColumns.of(requests)
-    return bin_arrays(columns.inputs, columns.outputs, grid)
+    return bin_arrays(columns.inputs, columns.outputs, grid or BinGrid())
 
 
 BINNED_COLUMNS = ("input_cap", "output_cap", "count")

@@ -18,7 +18,8 @@ from types import SimpleNamespace
 
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
-from .core import BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError, parse_caps
+from .core import (BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError, open_text,
+                   parse_caps)
 from .estimator import ESTIMATE_MODES, estimate
 from .flops import idealized_energy, joules_per_flop, workload_flops
 from .ingest import TRACE_FORMATS, TraceSource, load_trace, summarize_trace
@@ -95,8 +96,6 @@ def _load_workload(args) -> BinnedWorkload:
     if args.binned is not None:
         if args.grid is not None:
             raise ValidationError("--grid cannot be used with --binned; the file carries its grid")
-        if args.binned == "-":
-            return read_binned_csv(sys.stdin)
         return read_binned_csv(args.binned)
     return bin_workload(_load_requests(args), parse_grid(args.grid))
 
@@ -162,10 +161,9 @@ def _load_estimate_file(path: str) -> SimpleNamespace:
     """The label, total, mode and excluded_requests of an estimate report,
     which is what `compare` reads of an estimate."""
     p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"estimate file not found: {p}")
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        with open_text(p, "estimate file") as stream:
+            payload = json.load(stream)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}: not valid json ({exc})") from None
     if not isinstance(payload, dict) or payload.get("kind") != "estimate":

@@ -7,12 +7,15 @@ at file and CLI boundaries.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, TextIO
 
 INT64_MAX = 2**63 - 1
 J_PER_KWH = 3.6e6
@@ -163,8 +166,8 @@ class HardwareSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HardwareSpec":
-        return cls(**read_config(path, "hardware",
-                                 {"name": str, "tdp": parse_finite, "peak_flops": parse_finite}))
+        return from_config(cls, path, read_config(
+            path, "hardware", {"name": str, "tdp": parse_finite, "peak_flops": parse_finite}))
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,17 @@ class ModelConfig:
     def from_file(cls, path: str | Path) -> "ModelConfig":
         parsers = {k: int for k in ("n_layers", "d_model", "n_heads", "n_kv_heads", "d_ff",
                                     "vocab_size", "n_params")}
-        return cls(**read_config(path, "model", {**parsers, "tied_embeddings": parse_bool},
-                                 optional=("n_params", "tied_embeddings")))
+        return from_config(cls, path, read_config(
+            path, "model", {**parsers, "tied_embeddings": parse_bool},
+            optional=("n_params", "tied_embeddings")))
+
+
+def from_config(cls, path: str | Path, values: dict[str, Any]):
+    """`cls(**values)`, a value it refuses a data error naming config file `path`."""
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def derive_param_count(config: ModelConfig) -> int:
@@ -345,9 +357,33 @@ def parse_value(parse: Callable[[str], Any], text: str, name: str) -> Any:
         raise ValidationError(f"{name} must be {_READS[parse]}, got {text!r}") from None
 
 
+@contextmanager
+def open_text(path: str | Path, what: str) -> Iterator[TextIO]:
+    """The text of the input file at `path`, or of stdin's bytes when it is
+    `-`, as strict UTF-8 less a leading byte-order mark, line ends kept. A
+    missing file (named by `what`) and bytes that are not UTF-8 are data errors."""
+    stdin = str(path) == "-"
+    if stdin:
+        buffer = getattr(sys.stdin, "buffer", None)
+        stream = sys.stdin if buffer is None else io.TextIOWrapper(
+            buffer, encoding="utf-8-sig", newline="")
+    elif not Path(path).exists():
+        raise ValidationError(f"{what} not found: {Path(path)}")
+    else:
+        stream = open(path, encoding="utf-8-sig", newline="")
+    try:
+        yield stream
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    finally:
+        if not stdin:
+            stream.close()
+        elif stream is not sys.stdin:
+            stream.detach()  # closing the wrapper would close sys.stdin
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """The `key = value` pairs of a UTF-8 config file (a leading byte-order
-    mark is ignored).
+    """The `key = value` pairs of a config file (read by open_text).
 
     Lines end at `\\n`, `\\r` or `\\r\\n`, as in csv files, and are
     stripped, as are keys and values. A line whose first non-blank character
@@ -355,14 +391,10 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     the value, so `name = A100 #2` reads as `A100 #2`.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8-sig")  # newlines become "\n"
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    with open_text(path, "config file") as stream:
+        lines = list(stream)
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .core import BinGrid, ValidationError, check_value, format_caps, parse_caps, parse_value
+from .core import (BinGrid, ValidationError, check_value, format_caps, open_text, parse_caps,
+                   parse_value)
 
 
 def format_csv(
@@ -89,7 +90,8 @@ def grid_meta(grid: BinGrid) -> list[tuple[str, str]]:
 
 def read_csv(path_or_buf, header: Sequence[str], what: str,
              parse_row: Callable[[list[str], str], Any]) -> CsvFile:
-    """Parse a stream, or a UTF-8 file at a path (`what` names it when missing).
+    """Parse a stream, or the input file at a path, read by core.open_text
+    (`what` names it when missing).
 
     Every data row must have as many fields as `header`; `parse_row(fields,
     where)` converts it as it is read, with `where` the "origin:line" prefix
@@ -97,11 +99,9 @@ def read_csv(path_or_buf, header: Sequence[str], what: str,
     """
     if hasattr(path_or_buf, "read"):
         return _parse(path_or_buf, header, "<stream>", parse_row)
-    p = Path(path_or_buf)
-    if not p.exists():
-        raise ValidationError(f"{what} not found: {p}")
-    with p.open(encoding="utf-8") as stream:
-        return _parse(stream, header, str(p), parse_row)
+    origin = str(Path(path_or_buf))
+    with open_text(origin, what) as stream:
+        return _parse(stream, header, origin, parse_row)
 
 
 def _parse(stream, header: Sequence[str], origin: str, parse_row) -> CsvFile:
@@ -134,8 +134,6 @@ def _parse(stream, header: Sequence[str], origin: str, parse_row) -> CsvFile:
                 )
             else:
                 rows.append(parse_row(fields, f"{origin}:{lineno}"))
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{origin}: not valid UTF-8 ({exc.reason})") from None
     except csv.Error as exc:
         raise ValidationError(f"{origin}:{lineno}: unreadable csv ({exc})") from None
     if not header_seen:

@@ -24,18 +24,15 @@ importing this module (as every command does) does not load it.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
-import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import not_
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import INT64_MAX, Request, RequestColumns, ValidationError
+from .core import INT64_MAX, Request, RequestColumns, ValidationError, open_text
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
 
@@ -93,34 +90,18 @@ class TraceStats:
 
 
 def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
-    """Parse a trace file into token columns, viewed as Requests.
+    """Parse a trace file (read by core.open_text, so `-` is stdin) into
+    token columns, viewed as Requests.
 
     Raises on any malformed row unless `permissive`, in which case bad rows
     are skipped and returned in .malformed. Row order is preserved.
     """
-    if source.path == "-":
-        # decode stdin as a trace file is decoded: strict UTF-8 less any
-        # byte-order mark, newlines kept
-        buffer = getattr(sys.stdin, "buffer", None)
-        stream = sys.stdin if buffer is None else io.TextIOWrapper(
-            buffer, encoding="utf-8-sig", newline="")
-    else:
-        p = Path(source.path)
-        if not p.exists():
-            raise ValidationError(f"trace file not found: {p}")
-        stream = p.open("r", encoding="utf-8-sig", newline="")
     parse = _parse_csv if source.format == "generic-csv" else _parse_jsonl
     try:
-        requests, malformed = parse(stream, source)
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{source.path}: not valid UTF-8 ({exc.reason})") from None
+        with open_text(source.path, "trace file") as stream:
+            requests, malformed = parse(stream, source)
     except csv.Error as exc:
         raise ValidationError(f"{source.path}: unreadable csv ({exc})") from None
-    finally:
-        if source.path != "-":
-            stream.close()
-        elif stream is not sys.stdin:
-            stream.detach()  # closing the wrapper would close sys.stdin
     if malformed and not permissive:
         first = malformed[0]
         raise ValidationError(

@@ -332,9 +332,7 @@ def _estimate(w: WorkloadEstimate, format: str) -> str:
             "excluded_requests": w.excluded_requests,
             "per_bin": [_record(_BIN_COLUMNS, be) for be in w.per_bin],
         })
-    total_batches = 0.0
-    for be in w.per_bin:
-        total_batches += be.batches
+    total_batches = sum((be.batches for be in w.per_bin), 0.0)
     if format == "csv":
         total = ["TOTAL", None, w.total_requests, None, total_batches, w.total.joules,
                  joules_or_none(w.prefill_total), joules_or_none(w.decode_total), None]

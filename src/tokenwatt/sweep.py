@@ -16,16 +16,17 @@ from .core import (
     ValidationError,
     format_caps,
     format_config,
+    from_config,
     parse_caps,
     read_config,
 )
 from .tables import (
-    LARGE_BATCH_THRESHOLD,
     MeasurementTable,
     NORMALIZATION_NOTE,
     PROTOCOL_SAMPLES,
     PROTOCOL_SAMPLES_LARGE_BATCH,
     PROTOCOL_WARMUP_BATCHES,
+    protocol_samples,
 )
 
 # Each axis, with the key that pins it in a plan file and its tag in plan
@@ -70,8 +71,7 @@ class SweepPlan:
             raise ValidationError(f"fixed values must be positive, got {self.fixed}")
         if self.warmup_batches < 0:
             raise ValidationError("warmup_batches must be >= 0")
-        required = PROTOCOL_SAMPLES_LARGE_BATCH \
-            if self.max_batch > LARGE_BATCH_THRESHOLD else PROTOCOL_SAMPLES
+        required = protocol_samples(self.max_batch)
         if self.samples_per_point != required:
             raise ValidationError(
                 f"samples_per_point must be {required} when the largest batch is "
@@ -169,12 +169,10 @@ def write_plans(plans: Sequence[SweepPlan], directory) -> list[Path]:
     texts = [format_plan(plan) for plan in plans]
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for plan, text in zip(plans, texts):
-        path = out_dir / plan.filename
+    paths = [out_dir / plan.filename for plan in plans]
+    for path, text in zip(paths, texts):
         path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    return paths
 
 
 # How read_plan reads each plan file key; a missing fixed key is left to
@@ -188,7 +186,7 @@ def read_plan(path) -> SweepPlan:
     values = read_config(path, "plan", _PLAN_KEYS, optional=(
         "truncation_source", *(key for key, _ in _AXIS_NAMES.values())))
     fixed = {axis: values.pop(key) for axis, (key, _) in _AXIS_NAMES.items() if key in values}
-    return SweepPlan(fixed=fixed, **values)
+    return from_config(SweepPlan, path, {"fixed": fixed, **values})
 
 
 def grid_covered_by_plans(grid: BinGrid, plans: Iterable[SweepPlan]) -> bool:
@@ -197,13 +195,9 @@ def grid_covered_by_plans(grid: BinGrid, plans: Iterable[SweepPlan]) -> bool:
     Coverage is judged per axis over the union of plans: each input cap must
     occur as an input point or fixed input, likewise for output caps.
     """
-    inputs: set[int] = set()
-    outputs: set[int] = set()
-    for plan in plans:
-        for i, o in plan.pairs():
-            inputs.add(i)
-            outputs.add(o)
-    return set(grid.input_bins) <= inputs and set(grid.output_bins) <= outputs
+    pairs = [pair for plan in plans for pair in plan.pairs()]
+    return (set(grid.input_bins) <= {i for i, _ in pairs}
+            and set(grid.output_bins) <= {o for _, o in pairs})
 
 
 @dataclass(frozen=True)
@@ -241,14 +235,10 @@ def validate_table_against_plan(
     grid) are out of estimator reach and not required of the table.
     """
     grid = table.metadata.grid
-    planned = set()
-    for plan in plans:
-        for i, o in plan.pairs():
-            if i in grid.input_bins and o in grid.output_bins:
-                planned.add((i, o))
-    planned_sorted = tuple(sorted(planned))
+    planned = {(i, o) for plan in plans for i, o in plan.pairs()
+               if i in grid.input_bins and o in grid.output_bins}
     missing = {}
     for backend, device in table.configurations():
         have = {(b.input_cap, b.output_cap) for b in table.bins_for(backend, device)}
         missing[(backend, device)] = tuple(sorted(planned - have))
-    return CoverageReport(planned_points=planned_sorted, missing=missing)
+    return CoverageReport(planned_points=tuple(sorted(planned)), missing=missing)

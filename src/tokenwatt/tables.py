@@ -45,6 +45,12 @@ NORMALIZATION_NOTE = (
     f"{PROTOCOL_SAMPLES_LARGE_BATCH} samples and normalized to {PROTOCOL_SAMPLES}"
 )
 
+
+def protocol_samples(max_batch: int) -> int:
+    """The samples a run at batch size `max_batch` is measured over."""
+    return PROTOCOL_SAMPLES_LARGE_BATCH if max_batch > LARGE_BATCH_THRESHOLD else PROTOCOL_SAMPLES
+
+
 MEASURED = "measured"
 INTERPOLATED = "interpolated"
 
@@ -248,9 +254,9 @@ def _interpolate(table: MeasurementTable, backend: str, device: str, b: Bin) -> 
     )
 
 
-def default_kv_bytes_per_token(model: ModelConfig, bytes_per_value: int = 2) -> int:
-    """K and V cache bytes per token for one sequence (16-bit values)."""
-    return 2 * model.n_layers * model.n_kv_heads * model.head_dim * bytes_per_value
+def default_kv_bytes_per_token(model: ModelConfig) -> int:
+    """K and V cache bytes per token for one sequence, at 2 bytes per value."""
+    return 2 * model.n_layers * model.n_kv_heads * model.head_dim * 2
 
 
 def synthesize_table(
@@ -263,7 +269,6 @@ def synthesize_table(
     device: Optional[str] = None,
     memory_bytes: float = 40e9,
     kv_bytes_per_token: Optional[int] = None,
-    padding_policy: str = "padded-to-cap (synthetic)",
 ) -> MeasurementTable:
     """Full-grid synthetic table shaped like real measurements.
 
@@ -301,11 +306,10 @@ def synthesize_table(
             batch_energy=Energy(prefill_j + decode_j),
             prefill_energy=Energy(prefill_j),
             decode_energy=Energy(decode_j),
-            samples_measured=PROTOCOL_SAMPLES_LARGE_BATCH
-            if max_batch > LARGE_BATCH_THRESHOLD else PROTOCOL_SAMPLES,
+            samples_measured=protocol_samples(max_batch),
             warmup_batches=PROTOCOL_WARMUP_BATCHES,
         ))
-    metadata = TableMetadata(grid=grid, padding_policy=padding_policy)
+    metadata = TableMetadata(grid=grid, padding_policy="padded-to-cap (synthetic)")
     return MeasurementTable(records=tuple(records), metadata=metadata)
 
 

@@ -375,6 +375,84 @@ def test_utf8_bom_header_is_stripped(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == want
 
 
+def _pipeline_files(fixture_paths) -> dict[str, str]:
+    """The fixture's input files plus a binned workload and a vllm estimate
+    report made from them, by kind."""
+    files = {k: str(v) for k, v in fixture_paths.items() if k != "dir"}
+    files["binned"] = str(fixture_paths["dir"] / "binned.csv")
+    files["report"] = str(fixture_paths["dir"] / "vllm.json")
+    assert run("bin", "--trace", files["trace"], "--out", files["binned"]) == 0
+    assert run("estimate", "--binned", files["binned"], "--table", files["table"],
+               "--backend", "vllm", "--device", "A100", "--out", files["report"]) == 0
+    return files
+
+
+def _input_commands(files) -> dict[str, list[str]]:
+    """A command reading each input kind but the trace, by command name."""
+    return {
+        "estimate": ["estimate", "--binned", files["binned"], "--table", files["table"],
+                     "--backend", "vllm", "--device", "A100", "--interpolate"],
+        "baseline": ["baseline", "--binned", files["binned"], "--model", files["model"],
+                     "--hw", files["hw"]],
+        "validate-table": ["validate-table", "--table", files["table"]],
+        "synth-table": ["synth-table", "--model", files["model"], "--hw", files["hw"],
+                        "--efficiency", "0.5", "--decode-penalty", "2"],
+        "compare": ["compare", "--estimates", files["report"], "--baseline-j", "1.0",
+                    "--reference", "vllm"],
+    }
+
+
+@pytest.mark.parametrize("kind,command", [("binned", "estimate"), ("table", "estimate"),
+                                          ("report", "compare")])
+def test_bom_is_ignored_in_binned_table_and_report_files(fixture_paths, capsys, kind, command):
+    files = _pipeline_files(fixture_paths)
+    assert run(*_input_commands(files)[command]) == 0
+    want = capsys.readouterr().out
+    bom = fixture_paths["dir"] / f"bom_{kind}"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(files[kind]).read_bytes())
+    assert run(*_input_commands({**files, kind: str(bom)})[command]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_binned_stdin_is_decoded_as_a_binned_file(fixture_paths, monkeypatch, capsys):
+    files = _pipeline_files(fixture_paths)
+    argv = _input_commands(files)["estimate"]
+    assert run(*argv) == 0
+    want = capsys.readouterr().out
+    raw = Path(files["binned"]).read_bytes()
+    argv[argv.index(files["binned"])] = "-"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + raw)))
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == want
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff" + raw)))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: -: not valid UTF-8 (invalid start byte)\n"
+
+
+def test_non_utf8_estimate_report_is_a_data_error(fixture_paths, capsys):
+    report = fixture_paths["dir"] / "bad.json"
+    report.write_bytes(b'{"kind": "estimate", "label": "\xff"}')
+    assert run("compare", "--estimates", str(report), "--baseline-j", "1.0",
+               "--reference", "vllm") == 2
+    assert capsys.readouterr().err == f"error: {report}: not valid UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("kind,key,value,message", [
+    ("hw", "tdp", "-1", "tdp must be positive and finite, got -1.0"),
+    ("model", "n_layers", "0", "n_layers must be a positive integer, got 0"),
+    ("model", "n_heads", "3", "d_model (4) must be divisible by n_heads (3)"),
+])
+@pytest.mark.parametrize("command", ["baseline", "synth-table"])
+def test_config_range_errors_name_the_file(fixture_paths, capsys, kind, key, value, message,
+                                           command):
+    path = fixture_paths[kind]
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", text), encoding="utf-8")
+    files = _pipeline_files(fixture_paths)
+    assert run(*_input_commands(files)[command]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -545,6 +623,38 @@ def test_arbitrary_trace_bytes_exit_0_or_2(tmp_path, capsys):
         code = run(*argv, *(["--permissive"] if permissive else []))
         err = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("note: ")]
+        assert code in (0, 2)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+        else:
+            assert err == []
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["table", "binned", "model", "hw", "report"])
+def test_arbitrary_input_file_bytes_exit_0_or_2(fixture_paths, capsys, kind):
+    # arbitrary bytes, bare or after a byte-order mark, a well-formed file's
+    # first lines or both, as each input kind of every command that reads it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    files = _pipeline_files(fixture_paths)
+    lines = Path(files[kind]).read_bytes().splitlines(keepends=True)
+    fuzzed = str(fixture_paths["dir"] / "fuzzed")
+    commands = [argv for argv in _input_commands({**files, kind: fuzzed}).values()
+                if fuzzed in argv]
+    bodies = st.one_of(
+        st.binary(max_size=200),
+        st.text(alphabet='0123456789-+.,=#_"{}[]: \r\n\\eEnaJWhlrstu\ufeff\xff',
+                max_size=200).map(lambda t: t.encode("utf-8")),
+    )
+
+    @hypothesis.given(st.sampled_from([b"", b"\xef\xbb\xbf"]), st.integers(0, len(lines)),
+                      bodies, st.sampled_from(commands))
+    def check(bom, lead, body, argv):
+        Path(fuzzed).write_bytes(bom + b"".join(lines[:lead]) + body)
+        code = run(*argv)
+        err = capsys.readouterr().err.splitlines()
         assert code in (0, 2)
         if code == 2:
             assert len(err) == 1 and err[0].startswith("error: "), err

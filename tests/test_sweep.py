@@ -154,6 +154,10 @@ def test_grid_flag_grid_comments_and_plan_points_read_the_same_caps(tmp_path, ca
      "points must be comma-separated integers, got '32,x'"),
     (PLAN_HEAD + "points = 32\nsamples_per_point = many\nwarmup_batches = 20\n",
      "samples_per_point must be an integer, got 'many'"),
+    (PLAN_HEAD + "points = 32\nsamples_per_point = 7\nwarmup_batches = 20\n",
+     "samples_per_point must be 1024 when the largest batch is 1, got 7"),
+    ("axis = input_length\nfixed_output = 64\npoints = 32\n" + PLAN_TAIL,
+     "fixed must pin exactly ['batch_size', 'output_length'], got ['output_length']"),
 ])
 def test_read_plan_errors_name_file_and_key(tmp_path, text, message):
     path = tmp_path / "bad.cfg"

@@ -182,6 +182,44 @@ def test_indexed_lookup_matches_record_scan():
     check()
 
 
+def test_interpolation_stays_between_its_corners():
+    # an interpolated record's per-request energy and max_batch lie within
+    # the least and greatest of the measured records at its bracketing caps
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    caps = st.lists(st.integers(1, 4096), min_size=1, max_size=6, unique=True).map(sorted)
+
+    @hypothesis.given(st.data(), caps, caps)
+    def check(data, input_bins, output_bins):
+        grid = BinGrid(input_bins=tuple(input_bins), output_bins=tuple(output_bins))
+        cells = [(i, o) for i in input_bins for o in output_bins]
+        chosen = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+        table = _table([_record(i, o, max_batch=data.draw(st.integers(1, 512)),
+                                joules=data.draw(st.floats(1e-3, 1e6)))
+                        for i, o in chosen], grid)
+        measured_in = sorted({i for i, _ in chosen})
+        measured_out = sorted({o for _, o in chosen})
+        for b in grid.bins():
+            try:
+                rec = lookup(table, "vllm", "A100", b, interpolate=True)
+            except ValidationError:
+                continue
+            if rec.provenance != "interpolated":
+                continue
+            ins = {max(c for c in measured_in if c <= b.input_cap),
+                   min(c for c in measured_in if c >= b.input_cap)}
+            outs = {max(c for c in measured_out if c <= b.output_cap),
+                    min(c for c in measured_out if c >= b.output_cap)}
+            corners = [table.get("vllm", "A100", Bin(i, o)) for i in ins for o in outs]
+            energies = [c.per_request_joules for c in corners]
+            batches = [c.max_batch for c in corners]
+            assert min(energies) * (1 - 1e-12) <= rec.per_request_joules \
+                <= max(energies) * (1 + 1e-12)
+            assert min(batches) <= rec.max_batch <= max(batches)
+
+    check()
+
+
 def test_write_load_roundtrip(tmp_path):
     t = _table([
         _record(256, 8, max_batch=4, joules=2.0),
