@@ -12,8 +12,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .core import Bin, BinGrid, Request, RequestColumns, ValidationError
+from .core import Bin, BinGrid, Request, RequestColumns, ValidationError, parse_int, parse_value
 from .csvio import format_csv, grid_meta, read_csv, write_csv
+
+_BIN_SLICE = 1 << 16
 
 
 class Overflow(enum.Enum):
@@ -91,8 +93,10 @@ class BinnedWorkload:
 
 
 def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> BinnedWorkload:
-    """Bin parallel arrays of input/output token counts (the hot path) in one
-    vectorized pass. A request over both limits is tallied once, under
+    """Bin parallel arrays of input/output token counts (the hot path),
+    vectorized over slices of _BIN_SLICE rows so that the temporaries stay
+    small however long the trace is; the slices' bin counts and exclusion
+    tallies are summed. A request over both limits is tallied once, under
     excluded_input.
     """
     import numpy as np
@@ -107,17 +111,24 @@ def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> Binned
         raise ValidationError("token counts must be nonnegative")
     input_bins = np.asarray(grid.input_bins, dtype=np.int64)
     output_bins = np.asarray(grid.output_bins, dtype=np.int64)
-    over_in = inputs > input_bins[-1]
-    over_out = ~over_in & (outputs > output_bins[-1])
-    ok = ~(over_in | over_out)
-    ii = np.searchsorted(input_bins, inputs[ok], side="left")
-    oi = np.searchsorted(output_bins, outputs[ok], side="left")
     n_out = len(grid.output_bins)
-    flat = np.bincount(ii * n_out + oi, minlength=len(grid.input_bins) * n_out)
+    flat = np.zeros(len(grid.input_bins) * n_out, dtype=np.int64)
+    excluded_input = excluded_output = 0
+    for start in range(0, len(inputs), _BIN_SLICE):
+        ins = inputs[start:start + _BIN_SLICE]
+        outs = outputs[start:start + _BIN_SLICE]
+        over_in = ins > input_bins[-1]
+        over_out = ~over_in & (outs > output_bins[-1])
+        ok = ~(over_in | over_out)
+        ii = np.searchsorted(input_bins, ins[ok], side="left")
+        oi = np.searchsorted(output_bins, outs[ok], side="left")
+        flat += np.bincount(ii * n_out + oi, minlength=len(flat))
+        excluded_input += int(over_in.sum())
+        excluded_output += int(over_out.sum())
     counts = {Bin(grid.input_bins[k // n_out], grid.output_bins[k % n_out]): int(flat[k])
               for k in np.flatnonzero(flat).tolist()}
-    return BinnedWorkload(grid=grid, counts=counts, excluded_input=int(over_in.sum()),
-                          excluded_output=int(over_out.sum()))
+    return BinnedWorkload(grid=grid, counts=counts, excluded_input=excluded_input,
+                          excluded_output=excluded_output)
 
 
 def bin_workload(requests: Iterable[Request], grid: BinGrid | None = None) -> BinnedWorkload:
@@ -141,11 +152,9 @@ def write_binned_csv(workload: BinnedWorkload, path_or_buf) -> None:
     ))
 
 
-def _binned_row(fields: list[str], where: str) -> tuple[int, int, int]:
-    try:
-        return int(fields[0]), int(fields[1]), int(fields[2])
-    except ValueError:
-        raise ValidationError(f"{where}: non-integer field in {','.join(fields)!r}") from None
+def _binned_row(fields: list[str], where: str) -> tuple[int, ...]:
+    return tuple(parse_value(parse_int, text, f"{where}: {name}")
+                 for name, text in zip(BINNED_COLUMNS, fields))
 
 
 def read_binned_csv(path_or_buf) -> BinnedWorkload:

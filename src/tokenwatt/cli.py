@@ -55,6 +55,8 @@ def parse_grid(spec: str | None) -> BinGrid:
         raise ValidationError(f"grid spec must be 'I1,I2,...:O1,O2,...', got {spec!r}")
     try:
         caps = [parse_caps(side) for side in spec.split(":", 1)]
+    except OverflowError:
+        raise ValidationError(f"grid spec has caps beyond the int64 range: {spec!r}") from None
     except ValueError:
         raise ValidationError(f"grid spec has non-integer caps: {spec!r}") from None
     return BinGrid(*caps)
@@ -175,7 +177,7 @@ def _load_estimate_file(path: str) -> SimpleNamespace:
             mode=str(payload["mode"]),
             excluded_requests=int(payload["excluded_requests"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{p}: malformed estimate report ({exc})") from None
 
 

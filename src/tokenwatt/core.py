@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, TextIO
 
 INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
 J_PER_KWH = 3.6e6
 J_PER_WH = 3.6e3
 
@@ -215,8 +216,8 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ModelConfig":
-        parsers = {k: int for k in ("n_layers", "d_model", "n_heads", "n_kv_heads", "d_ff",
-                                    "vocab_size", "n_params")}
+        parsers = {k: parse_int for k in ("n_layers", "d_model", "n_heads", "n_kv_heads",
+                                          "d_ff", "vocab_size", "n_params")}
         return from_config(cls, path, read_config(
             path, "model", {**parsers, "tied_embeddings": parse_bool},
             optional=("n_params", "tied_embeddings")))
@@ -314,11 +315,23 @@ def check_value(name: str, value: str) -> str:
     return value
 
 
+def parse_int(text: str) -> int:
+    """An integer within int64, as every integer of a binned workload, a
+    table, a config, a plan or `--grid` must be (trace token counts are held
+    to the same range), so that the products that price and bound a workload
+    stay within float range. Text that is not an integer raises ValueError,
+    an integer outside int64 OverflowError."""
+    value = int(text)
+    if INT64_MIN <= value <= INT64_MAX:
+        return value
+    raise OverflowError(text)
+
+
 def parse_caps(text: str) -> tuple[int, ...]:
     """The integers of a comma-separated list such as `32,128,256`: the caps of
     `--grid`, of the `# input_bins`/`# output_bins` comments and a sweep
     plan's points."""
-    return tuple(int(x) for x in text.split(","))
+    return tuple(parse_int(x) for x in text.split(","))
 
 
 def format_caps(caps: Iterable[int]) -> str:
@@ -344,15 +357,18 @@ def parse_bool(text: str) -> bool:
 
 
 # What each value parser accepts, as its error message names it.
-_READS = {int: "an integer", parse_finite: "a finite number", parse_bool: "a boolean",
+_READS = {parse_int: "an integer", parse_finite: "a finite number", parse_bool: "a boolean",
           parse_caps: "comma-separated integers"}
 
 
 def parse_value(parse: Callable[[str], Any], text: str, name: str) -> Any:
-    """`parse(text)`, with `parse` one of str, int, parse_finite, parse_bool
-    and parse_caps; text it refuses is a data error naming `name`."""
+    """`parse(text)`, with `parse` one of str, parse_int, parse_finite,
+    parse_bool and parse_caps; text it refuses, and an integer beyond int64,
+    is a data error naming `name`."""
     try:
         return parse(text)
+    except OverflowError:
+        raise ValidationError(f"{name} exceeds the int64 range: {text}") from None
     except ValueError:
         raise ValidationError(f"{name} must be {_READS[parse]}, got {text!r}") from None
 

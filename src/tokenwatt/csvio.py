@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (BinGrid, ValidationError, check_value, format_caps, open_text, parse_caps,
-                   parse_value)
+                   parse_int, parse_value)
 
 
 def format_csv(
@@ -68,7 +68,7 @@ class CsvFile:
         value = self.meta.get(key)
         if value is None:
             return default
-        return parse_value(int, value, f"{self.origin}: '# {key}'")
+        return parse_value(parse_int, value, f"{self.origin}: '# {key}'")
 
     def grid(self) -> Optional[BinGrid]:
         """The grid of the `# input_bins` and `# output_bins` comments, None

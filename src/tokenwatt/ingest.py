@@ -5,17 +5,21 @@ already computed (no tokenization here). Parsing is streaming and
 single-pass into two int64 columns; malformed rows abort the run unless
 permissive mode is on, in which case they are skipped and reported.
 
-A csv trace is read in chunks of _CHUNK_LINES physical lines. Each chunk's
-token columns come from one np.loadtxt call. A chunk that holds a quote
-character or a line longer than the csv module's field size limit goes
-through the csv row parser instead, which gives each malformed row its
-physical line number and message, and fails on an oversized field as
-csv.DictReader does. A chunk that loadtxt cannot parse exactly (a bad,
-negative or missing value) is sifted: the lines whose two token fields are
-plain 1-18 digit numbers go through one more loadtxt call, and only the
-others, blank lines included, are checked one row at a time as the row
-parser checks them; the valid ones among those (such as ` 7 ` or `+4`) are
-put back in file order.
+A csv trace is read in text blocks of _CHUNK_CHARS characters, each
+completed to a line end. A block with no quote, no `\\r`, no blank line and
+no line longer than the csv module's field size limit goes to one
+np.loadtxt call. Any other block, or one that loadtxt cannot parse exactly
+(a bad, negative or missing value), is split into lines once. A block that
+holds a quote or an over-long line goes through the csv row parser, which
+gives each malformed row its physical line number and message, and fails
+on an oversized field as csv.DictReader does. The others are sifted: the
+lines whose two token fields are plain 1-18 digit numbers go through one
+more loadtxt call, and only the others, blank lines included, are checked
+one row at a time as the row parser checks them; the valid ones among
+those (such as ` 7 ` or `+4`) are put back in file order. Each block's
+tokens go straight into two growing int64 columns, so a load holds about
+its columns and one block. A jsonl trace moves its tokens into the same
+columns every _JSONL_ROWS rows.
 
 numpy is imported inside the functions that build or read token columns, so
 importing this module (as every command does) does not load it.
@@ -24,19 +28,22 @@ importing this module (as every command does) does not load it.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
-from operator import not_
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, compress
+from operator import mul, not_
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .core import INT64_MAX, Request, RequestColumns, ValidationError, open_text
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
 
-_CHUNK_LINES = 1 << 16
+_CHUNK_CHARS = 1 << 19
+_JSONL_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,8 +133,8 @@ def _token_value(raw, column: str) -> int:
     return raw
 
 
-def _parse_csv(lines: Iterator[str], source: TraceSource):
-    reader = csv.reader(lines)
+def _parse_csv(stream: TextIO, source: TraceSource):
+    reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         raise ValidationError(f"{source.path}: empty file, expected a header row")
@@ -140,20 +147,17 @@ def _parse_csv(lines: Iterator[str], source: TraceSource):
             raise ValidationError(f"{source.path}: missing column {col!r}; header has {header}")
         columns.append((index[col], col))
     plain = _plain_line(tuple(i for i, _ in columns))
-    inputs: list[np.ndarray] = []
-    outputs: list[np.ndarray] = []
+    inputs, outputs = _Column(), _Column()
     malformed: list[RowError] = []
     line = reader.line_num
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        block = _parse_chunk(chunk, line, columns, plain, malformed)
-        if block is None:
-            block, read = _parse_rows(chain(chunk, lines), len(chunk), line, columns, malformed)
-        else:
-            read = len(chunk)
+    while block := stream.read(_CHUNK_CHARS):
+        if block[-1] != "\n":  # end at a line end, and never between `\r` and `\n`
+            block += stream.readline()
+        tokens, read = _parse_block(block, stream, line, columns, plain, malformed)
         line += read
-        inputs.append(block[:, 0])
-        outputs.append(block[:, 1])
-    return RequestColumns(_concat(inputs), _concat(outputs)), malformed
+        inputs.extend(tokens[:, 0])
+        outputs.extend(tokens[:, 1])
+    return RequestColumns(inputs.array(), outputs.array()), malformed
 
 
 def _plain_line(usecols: tuple[int, int]):
@@ -163,36 +167,69 @@ def _plain_line(usecols: tuple[int, int]):
     return re.compile(",".join(fields) + "(?![^,\r\n])").match
 
 
-def _parse_chunk(chunk: list[str], first_line: int, columns, plain,
-                 malformed: list[RowError]):
-    """(rows, 2) token block of a chunk, or None when the chunk needs the row
-    parser.
+def _parse_block(block: str, stream: TextIO, first_line: int, columns, plain,
+                 malformed: list[RowError]) -> tuple[np.ndarray, int]:
+    """The (rows, 2) token block of a text block and the physical lines read.
 
-    A chunk that the first loadtxt refuses is sifted: the lines `plain`
-    matches are parsed by one more loadtxt, the others are checked one row
-    at a time (errors go to `malformed`, numbered from `first_line`) and the
-    valid ones are put back in file order.
+    A block with no quote, no `\\r`, no blank line and no line longer than
+    the csv field size limit goes to one loadtxt call, and is taken when
+    loadtxt gives one nonnegative row per line. Any other block is split
+    into lines once: one with a quote or an over-long line goes to the row
+    parser (which may read on into `stream` to end a quoted record), the
+    others are sifted.
+    """
+    usecols = tuple(i for i, _ in columns)
+    cr = "\r" in block
+    rows_only = '"' in block or _overlong(block.replace("\r", "\n") if cr else block,
+                                          csv.field_size_limit())
+    if not (rows_only or cr or block[0] == "\n" or "\n\n" in block):
+        rows = block.count("\n") + (block[-1] != "\n")
+        tokens = _loadtxt(io.StringIO(block), usecols)
+        if tokens is not None and len(tokens) == rows and tokens.min() >= 0:
+            return tokens, rows
+    if cr or rows_only:
+        lines = io.StringIO(block, newline="").readlines()  # where the csv module splits
+    else:
+        lines = block.split("\n")
+        if not lines[-1]:
+            lines.pop()
+    tokens = None if rows_only else _sift(lines, first_line, columns, plain, malformed)
+    if tokens is None:
+        return _parse_rows(chain(lines, stream), len(lines), first_line, columns, malformed)
+    return tokens, len(lines)
+
+
+def _overlong(block: str, limit: int) -> bool:
+    """Whether a line of `block`, taken to end at `\\n`, may be longer than
+    `limit` characters. Only a line that runs across a multiple of `limit`
+    can be, so only those lines are measured."""
+    for at in range(limit, len(block), limit):
+        end = block.find("\n", at)
+        if (len(block) if end < 0 else end) - block.rfind("\n", 0, at) > limit:
+            return True
+    return False
+
+
+def _sift(lines: list[str], first_line: int, columns, plain, malformed: list[RowError]):
+    """(rows, 2) token block of quote-free `lines`, or None when they need
+    the row parser.
+
+    The lines `plain` matches are parsed by one loadtxt call, the others are
+    checked one row at a time (errors go to `malformed`, numbered from
+    `first_line`) and the valid ones are put back in file order.
     """
     import numpy as np
 
+    refused = list(map(not_, map(plain, lines)))
+    plain_lines = list(compress(lines, map(not_, refused)))
     usecols = tuple(i for i, _ in columns)
-    rows = len(chunk) - chunk.count("\n") - chunk.count("\r\n") - chunk.count("\r")
-    if rows == 0:  # loadtxt warns on input with no data
-        return np.empty((0, 2), dtype=np.int64)
-    if '"' in "".join(chunk) or max(map(len, chunk)) > csv.field_size_limit():
-        return None
-    block = _loadtxt(chunk, usecols)
-    if block is not None and len(block) == rows and block.min() >= 0:
-        return block
-    refused = list(map(not_, map(plain, chunk)))
-    plain_lines = list(compress(chunk, map(not_, refused)))
     block = _loadtxt(plain_lines, usecols) if plain_lines else np.empty((0, 2), dtype=np.int64)
     if block is None or len(block) != len(plain_lines):
         return None
     at: list[int] = []
     kept: list[tuple[int, int]] = []
-    at_refused = compress(range(len(chunk)), refused)
-    for j, (k, row) in enumerate(zip(at_refused, csv.reader(compress(chunk, refused)))):
+    at_refused = compress(range(len(lines)), refused)
+    for j, (k, row) in enumerate(zip(at_refused, csv.reader(compress(lines, refused)))):
         pair = _row_tokens(row, first_line + k + 1, columns, malformed)
         if pair is not None:
             at.append(k - j)  # the plain lines before line k
@@ -200,8 +237,9 @@ def _parse_chunk(chunk: list[str], first_line: int, columns, plain,
     return np.insert(block, at, kept, axis=0) if kept else block
 
 
-def _loadtxt(lines: list[str], usecols: tuple[int, int]):
-    """(rows, 2) int64 token block of `lines`, or None when loadtxt refuses them."""
+def _loadtxt(lines, usecols: tuple[int, int]):
+    """(rows, 2) int64 token block of `lines` (a list or a text stream), or
+    None when loadtxt refuses them."""
     import numpy as np
 
     try:
@@ -250,10 +288,32 @@ def _row_tokens(row: list[str], line: int, columns, malformed: list[RowError]):
         return None
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    import numpy as np
+class _Column:
+    """An int64 column that token values are appended to.
 
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    It grows in place by an eighth at a time: ndarray.resize reallocates,
+    which for a large array remaps its pages rather than copying them. So
+    the column holds at most about 1.125 times its values, and a finished
+    trace is never held twice, as joining per-block parts would hold it.
+    """
+
+    def __init__(self) -> None:
+        import numpy as np
+
+        self.values = np.empty(0, dtype=np.int64)
+        self.size = 0
+
+    def extend(self, part) -> None:
+        end = self.size + len(part)
+        if end > len(self.values):
+            self.values.resize(max(end, len(self.values) * 9 // 8), refcheck=False)
+        self.values[self.size:end] = part
+        self.size = end
+
+    def array(self) -> np.ndarray:
+        """The values; the column is not extended after this."""
+        self.values.resize(self.size, refcheck=False)
+        return self.values
 
 
 def _parse_jsonl(lines: Iterator[str], source: TraceSource):
@@ -261,8 +321,8 @@ def _parse_jsonl(lines: Iterator[str], source: TraceSource):
 
     in_col = source.column_map["input_tokens"]
     out_col = source.column_map["output_tokens"]
-    inputs: list[int] = []
-    outputs: list[int] = []
+    inputs, outputs = _Column(), _Column()
+    pending: tuple[list[int], list[int]] = ([], [])  # parsed, not yet in the columns
     malformed: list[RowError] = []
     for line_num, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -279,10 +339,19 @@ def _parse_jsonl(lines: Iterator[str], source: TraceSource):
         except (ValueError, RecursionError) as exc:  # JSONDecodeError and ValidationError are ValueErrors
             malformed.append(RowError(line=line_num, message=str(exc)))
         else:
-            inputs.append(i)
-            outputs.append(o)
-    return RequestColumns(np.array(inputs, dtype=np.int64),
-                          np.array(outputs, dtype=np.int64)), malformed
+            pending[0].append(i)
+            pending[1].append(o)
+            if len(pending[0]) == _JSONL_ROWS:
+                _flush(pending, inputs, outputs)
+    _flush(pending, inputs, outputs)
+    return RequestColumns(inputs.array(), outputs.array()), malformed
+
+
+def _flush(pending: tuple[list[int], list[int]], inputs: _Column, outputs: _Column) -> None:
+    """Move the pending token values into the columns."""
+    for values, column in zip(pending, (inputs, outputs)):
+        column.extend(values)
+        values.clear()
 
 
 def compute_stats(values: Iterable[int]) -> TraceStats:
@@ -290,7 +359,11 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
 
     Median uses the lower middle element for even counts and p99 is the
     nearest-rank (no interpolation) percentile, so both stay integers for
-    integer input. Std is the population (divide-by-n) form.
+    integer input. Std is the population (divide-by-n) form. All of them
+    come from the distinct values and their counts. Mean and std come from
+    exact integer sums, which no int64 value can overflow: the mean is the
+    exact mean rounded once, the std the square root of the exact variance
+    rounded to a float.
     """
     import numpy as np
 
@@ -299,16 +372,24 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
         raise ValidationError("cannot compute statistics of an empty sequence")
     if arr.min() < 0:
         raise ValidationError("token counts must be nonnegative")
-    arr = np.sort(arr.astype(np.int64, copy=False))
+    distinct, counts = np.unique(arr.astype(np.int64, copy=False), return_counts=True)
+    ends = np.cumsum(counts)  # one past the last sorted position of each distinct value
+
+    def ranked(k: int) -> float:  # the k-th smallest value, from 0
+        return float(distinct[np.searchsorted(ends, k, side="right")])
+
     n = int(arr.size)
+    xs, cs = distinct.tolist(), counts.tolist()
+    total = sum(map(mul, xs, cs))
+    squares = sum(map(mul, map(mul, xs, xs), cs))
     p99_rank = -((-99 * n) // 100)  # ceil(0.99 * n) in exact integer arithmetic
     return TraceStats(
         count=n,
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        median=float(arr[(n - 1) // 2]),
-        p99=float(arr[p99_rank - 1]),
-        max=int(arr[-1]),
+        mean=total / n,
+        std=math.sqrt((squares * n - total * total) / (n * n)),
+        median=ranked((n - 1) // 2),
+        p99=ranked(p99_rank - 1),
+        max=xs[-1],
     )
 
 

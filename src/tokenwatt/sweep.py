@@ -18,6 +18,7 @@ from .core import (
     format_config,
     from_config,
     parse_caps,
+    parse_int,
     read_config,
 )
 from .tables import (
@@ -177,9 +178,9 @@ def write_plans(plans: Sequence[SweepPlan], directory) -> list[Path]:
 
 # How read_plan reads each plan file key; a missing fixed key is left to
 # SweepPlan's check of which axes are pinned.
-_PLAN_KEYS = {"axis": str, "points": parse_caps, "samples_per_point": int,
-              "warmup_batches": int, "truncation_source": str,
-              **{key: int for key, _ in _AXIS_NAMES.values()}}
+_PLAN_KEYS = {"axis": str, "points": parse_caps, "samples_per_point": parse_int,
+              "warmup_batches": parse_int, "truncation_source": str,
+              **{key: parse_int for key, _ in _AXIS_NAMES.values()}}
 
 
 def read_plan(path) -> SweepPlan:

@@ -24,6 +24,7 @@ from .core import (
     ModelConfig,
     ValidationError,
     joules_or_none,
+    parse_int,
 )
 from .csvio import format_csv, grid_meta, read_csv, write_csv
 from .flops import joules_per_flop, request_flops
@@ -375,11 +376,11 @@ def _parse_record(fields: list[str], where: str) -> MeasurementRecord:
 
     def integer(col: str) -> int:
         try:
-            return int(row[col])
+            return parse_int(row[col])
         except ValueError:
-            raise ValidationError(
-                f"{where}: {col} is not an integer: {row[col]!r}"
-            ) from None
+            raise ValidationError(f"{where}: {col} is not an integer: {row[col]!r}") from None
+        except OverflowError:
+            raise ValidationError(f"{where}: {col} exceeds the int64 range: {row[col]}") from None
 
     batch_energy = energy("batch_energy")
     if batch_energy is None:

@@ -1,7 +1,10 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from tokenwatt import binning
 
 from tokenwatt import (
     Bin,
@@ -91,6 +94,37 @@ def test_bin_arrays_agrees_with_map_to_bin_on_any_grid():
         assert workload.excluded_output == overflow[Overflow.OUTPUT]
 
     check()
+
+
+def _bin_in_one_pass(columns, grid):
+    with mock.patch.object(binning, "_BIN_SLICE", len(columns) + 1):
+        return bin_arrays(columns[:, 0], columns[:, 1], grid)
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 7])
+def test_sliced_binning_equals_one_pass(slice_rows):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    caps = st.lists(st.integers(1, 5000), min_size=1, max_size=8, unique=True).map(sorted)
+    tokens = st.integers(0, 6000) | st.sampled_from([0, 1, 2**63 - 1])
+    rows = st.lists(st.tuples(tokens, tokens), max_size=60).map(
+        lambda pairs: np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+    @hypothesis.given(caps, caps, rows)
+    def check(input_bins, output_bins, columns):
+        grid = BinGrid(input_bins=tuple(input_bins), output_bins=tuple(output_bins))
+        whole = _bin_in_one_pass(columns, grid)
+        with mock.patch.object(binning, "_BIN_SLICE", slice_rows):
+            assert bin_arrays(columns[:, 0], columns[:, 1], grid) == whole
+
+    check()
+
+
+def test_default_slices_equal_one_pass(rng):
+    # 200,000 rows span the default slice three times and end in a partial one
+    columns = np.column_stack([rng.integers(0, 9000, 200_000), rng.integers(0, 600, 200_000)])
+    assert bin_arrays(columns[:, 0], columns[:, 1], DEFAULT_GRID) == \
+        _bin_in_one_pass(columns, DEFAULT_GRID)
 
 
 def test_bin_arrays_rejects_negative():

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -64,6 +65,20 @@ def test_stats_deterministic(fixture_paths, capsys):
     first = capsys.readouterr().out
     run("stats", "--trace", str(fixture_paths["trace"]))
     assert capsys.readouterr().out == first
+
+
+def test_stats_of_the_largest_token_count(tmp_path, capsys):
+    big = 2**63 - 1
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"input_tokens,output_tokens\n{big},1\n0,{big}\n{big},3\n", encoding="utf-8")
+    assert run("stats", "--trace", str(trace)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # exact mean 2 * big / 3 and std sqrt(2 * big**2 / 9), each rounded once
+    assert payload["input"]["mean"] == 2 * big / 3
+    assert payload["input"]["std"] == math.sqrt(2 * big**2 / 9)
+    assert payload["input"]["max"] == big
+    assert payload["input"]["median"] == float(big)
+    assert payload["output"]["median"] == 3.0
 
 
 def test_stats_from_stdin(monkeypatch, capsys):
@@ -184,6 +199,20 @@ def test_compare_cli(fixture_paths, capsys):
     assert payload["entries"][0]["pct_delta_vs_optimal"] == pytest.approx(50.0)
     assert payload["baseline_j"] == 4.0
     assert payload["mode"] == "fractional"
+
+
+@pytest.mark.parametrize("field,value", [("excluded_requests", "1e400"), ("total_j", "1" * 400)],
+                         ids=["excluded_requests", "total_j"])
+def test_estimate_report_number_beyond_float_is_a_data_error(fixture_paths, capsys, field,
+                                                             value):
+    report = Path(_pipeline_files(fixture_paths)["report"])
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    report.write_text(json.dumps({**payload, field: "@"}).replace('"@"', value),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert run("compare", "--estimates", str(report), "--baseline-j", "1.0",
+               "--reference", "vllm") == 2
+    assert _one_error_line(capsys).startswith(f"error: {report}: malformed estimate report")
 
 
 def test_compare_rejects_non_estimate_json(fixture_paths, capsys):
@@ -623,6 +652,85 @@ def test_arbitrary_trace_bytes_exit_0_or_2(tmp_path, capsys):
         code = run(*argv, *(["--permissive"] if permissive else []))
         err = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("note: ")]
+        assert code in (0, 2)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+        else:
+            assert err == []
+
+    check()
+
+
+def _set_field(text: str, field: str, value: str) -> str:
+    """`text` with `field` set to `value`: the value of a `key = value` line
+    or `# key = value` comment, else the field of the first data row under
+    the header. A key that is neither is added, as a `key = value` line to a
+    config or a leading `# key = value` comment to a csv file."""
+    lines = text.splitlines(keepends=True)
+    for k, line in enumerate(lines):
+        key, eq, _ = line.lstrip("# ").partition("=")
+        if eq and key.strip() == field:
+            lines[k] = f"{line.partition('=')[0]}= {value}\n"
+            return "".join(lines)
+    header = next((k for k, line in enumerate(lines) if "," in line and "=" not in line), None)
+    if header is None:
+        return text + f"{field} = {value}\n"
+    names = lines[header].rstrip("\n").split(",")
+    if field not in names:
+        return f"# {field} = {value}\n" + text
+    row = lines[header + 1].rstrip("\n").split(",")
+    row[names.index(field)] = value
+    lines[header + 1] = ",".join(row) + "\n"
+    return "".join(lines)
+
+
+_INT_FIELDS = {
+    "binned": ["input_cap", "output_cap", "count", "input_bins", "output_bins",
+               "excluded_input", "excluded_output"],
+    "table": ["input_cap", "output_cap", "max_batch", "samples_measured", "warmup_batches",
+              "protocol_samples"],
+    "model": ["n_layers", "d_model", "n_heads", "n_kv_heads", "d_ff", "vocab_size", "n_params"],
+}
+
+
+@pytest.mark.parametrize("kind,field,command,where", [
+    ("binned", "count", "estimate", ":4: count"),
+    ("binned", "count", "baseline", ":4: count"),
+    ("table", "max_batch", "estimate", ":2: max_batch"),
+    ("model", "n_layers", "baseline", ": n_layers"),
+    ("model", "d_model", "synth-table", ": d_model"),
+])
+def test_integer_beyond_int64_names_file_and_field(fixture_paths, capsys, kind, field, command,
+                                                   where):
+    files = _pipeline_files(fixture_paths)
+    path = Path(files[kind])
+    path.write_text(_set_field(path.read_text(encoding="utf-8"), field, "9" * 400),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert run(*_input_commands(files)[command]) == 2
+    assert capsys.readouterr().err == f"error: {path}{where} exceeds the int64 range: {'9' * 400}\n"
+
+
+def test_int64_extremes_in_integer_fields_exit_0_or_2(fixture_paths, capsys):
+    # 2**63 - 1 is the largest integer any input may hold; it and its
+    # neighbours in every integer field of the files the pricing commands
+    # read end in a result or one error line, never in a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    files = _pipeline_files(fixture_paths)
+    texts = {kind: Path(files[kind]).read_text(encoding="utf-8") for kind in _INT_FIELDS}
+    commands = _input_commands(files)
+    fields = st.sampled_from([(kind, f) for kind, names in _INT_FIELDS.items() for f in names])
+    values = st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**62, 10**30])
+
+    @hypothesis.given(fields, values, st.sampled_from(["estimate", "baseline", "synth-table"]))
+    def check(kind_field, value, command):
+        kind, field = kind_field
+        for k, text in texts.items():
+            Path(files[k]).write_text(_set_field(text, field, str(value)) if k == kind else text,
+                                      encoding="utf-8")
+        code = run(*commands[command])
+        err = capsys.readouterr().err.splitlines()
         assert code in (0, 2)
         if code == 2:
             assert len(err) == 1 and err[0].startswith("error: "), err

@@ -1,10 +1,14 @@
 import io
 import json
+import math
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tokenwatt import ingest
 from tokenwatt import (
     Request,
     TraceSource,
@@ -177,6 +181,49 @@ def test_stats_rejects_empty_and_negative():
         compute_stats([])
     with pytest.raises(ValidationError):
         compute_stats([1, -2])
+
+
+def test_stats_match_exact_fractions():
+    # mean is the exact mean rounded once; std lies within one ulp of the
+    # exact population std; median, p99 and max are elements of the input
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.integers(0, 10**4) | st.integers(0, 2**63 - 1) | st.sampled_from([0, 2**63 - 1])
+
+    @hypothesis.given(st.lists(values, min_size=1, max_size=50))
+    def check(xs):
+        s = compute_stats(np.array(xs, dtype=np.int64))
+        n, ordered = len(xs), sorted(xs)
+        var = Fraction(n * sum(x * x for x in xs) - sum(xs) ** 2, n * n)
+        assert s.count == n
+        assert s.mean == float(Fraction(sum(xs), n))
+        below, above = math.nextafter(s.std, 0), math.nextafter(s.std, math.inf)
+        assert Fraction(below) ** 2 <= var <= Fraction(above) ** 2
+        assert s.median == float(ordered[(n - 1) // 2])
+        assert s.p99 == float(ordered[math.ceil(Fraction(99 * n, 100)) - 1])
+        assert s.max == ordered[-1] and type(s.max) is int
+
+    check()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_jsonl_columns_do_not_depend_on_flush_size(tmp_path, rows):
+    lines = []
+    for k in range(40):
+        lines.append(json.dumps({"input_tokens": k * 31, "output_tokens": k % 5}))
+        if k % 6 == 2:
+            lines.append(["{", "[1, 2]", '{"input_tokens": -1, "output_tokens": 2}',
+                          '{"input_tokens": 3}', ""][k % 5])
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    source = TraceSource(path=str(path), format="jsonl")
+    want = load_trace(source, permissive=True)
+    with mock.patch.object(ingest, "_JSONL_ROWS", rows):
+        got = load_trace(source, permissive=True)
+    assert got.requests.inputs.tolist() == want.requests.inputs.tolist()
+    assert got.requests.outputs.tolist() == want.requests.outputs.tolist()
+    assert got.malformed == want.malformed
+    assert len(want.requests) == 40 and len(want.malformed) == 6
 
 
 def test_summarize_trace():

@@ -1,11 +1,14 @@
 """Chunked columnar ingest against one-row-at-a-time references.
 
-The csv reader parses blocks of physical lines with numpy and hands a block
-to the row parser when it holds a quote or a line longer than the csv
-module's field size limit. A block with a value numpy cannot take as is is
-sifted: its plain lines go to numpy again and only the rest are checked row
-by row. Chunk sizes 1, 2 and 7 put quoted multi-line records, CRLF pairs
-and blank runs across chunk boundaries.
+The csv reader reads text blocks of about _CHUNK_CHARS characters, each
+ending at a line end, and parses a block with one numpy call. It hands a
+block to the row parser when it holds a quote or a line longer than the csv
+module's field size limit. A block with a `\r`, a blank line or a value
+numpy cannot take as is is sifted: its plain lines go to numpy again and
+only the rest are checked row by row. Block sizes of 1, 2 and 7 characters
+give blocks of one line, 40 of a few lines and 65536 of the whole body, so
+quoted multi-line records, CRLF pairs, lone `\r`s and blank runs fall
+across block boundaries and inside blocks.
 """
 
 import csv
@@ -21,7 +24,7 @@ from tokenwatt import Request, TraceSource, ValidationError, load_trace
 from tokenwatt import ingest
 from oracles import oracle_parse_csv
 
-CHUNK_LINES = (1, 2, 7, 1 << 16)
+CHUNK_CHARS = (1, 2, 7, 40, 1 << 16)
 
 _GOOD = st.integers(0, 10**6).map(str)
 _ODD = st.sampled_from([
@@ -51,8 +54,8 @@ def csv_bodies(draw, cell=_CELL) -> str:
     return body if draw(st.booleans()) else body.rstrip("\r\n")
 
 
-@pytest.mark.parametrize("chunk_lines", CHUNK_LINES)
-def test_chunked_csv_matches_row_oracle(tmp_path, chunk_lines):
+@pytest.mark.parametrize("chunk_chars", CHUNK_CHARS)
+def test_chunked_csv_matches_row_oracle(tmp_path, chunk_chars):
     path = tmp_path / "trace.csv"
 
     # a field size limit below the longest generated cell (but not below a
@@ -66,11 +69,11 @@ def test_chunked_csv_matches_row_oracle(tmp_path, chunk_lines):
             try:
                 rows, errors = oracle_parse_csv(body)
             except csv.Error:
-                with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
+                with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars), \
                         pytest.raises(ValidationError, match="unreadable csv"):
                     load_trace(source, permissive=True)
                 return
-            with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+            with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
                 load = load_trace(source, permissive=True)
         finally:
             csv.field_size_limit(default_limit)
@@ -81,8 +84,8 @@ def test_chunked_csv_matches_row_oracle(tmp_path, chunk_lines):
     check()
 
 
-@pytest.mark.parametrize("chunk_lines", CHUNK_LINES)
-def test_sifted_chunks_match_row_oracle(tmp_path, chunk_lines):
+@pytest.mark.parametrize("chunk_chars", CHUNK_CHARS)
+def test_sifted_chunks_match_row_oracle(tmp_path, chunk_chars):
     # no quote anywhere, so a chunk numpy refuses is sifted rather than
     # handed whole to the row parser; valid odd cells (" 7 ", "+4", "1_0")
     # must come back at their place in file order, with the others' errors
@@ -93,7 +96,7 @@ def test_sifted_chunks_match_row_oracle(tmp_path, chunk_lines):
     def check(body):
         path.write_text(body, encoding="utf-8", newline="")
         rows, errors = oracle_parse_csv(body)
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             load = load_trace(TraceSource(path=str(path), format="generic-csv"), permissive=True)
         cols = load.requests
         assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
@@ -103,7 +106,8 @@ def test_sifted_chunks_match_row_oracle(tmp_path, chunk_lines):
 
 
 def test_sift_checks_only_the_refused_lines(tmp_path):
-    lines = [f"{k},{k % 97}" for k in range(ingest._CHUNK_LINES)]
+    # 65,536 lines make a block of the default size and then some
+    lines = [f"{k},{k % 97}" for k in range(1 << 16)]
     lines[40_000] = "7,x"
     source = _csv_source(tmp_path, "input_tokens,output_tokens\n" + "\n".join(lines) + "\n")
     with mock.patch.object(ingest, "_token_value", wraps=ingest._token_value) as token_value:
@@ -112,7 +116,7 @@ def test_sift_checks_only_the_refused_lines(tmp_path):
         ("7", "input_tokens"), ("x", "output_tokens")]
     assert [(e.line, e.message) for e in load.malformed] == [
         (40_002, "column 'output_tokens' is not an integer: 'x'")]
-    assert len(load.requests) == ingest._CHUNK_LINES - 1
+    assert len(load.requests) == (1 << 16) - 1
     assert load.requests.inputs[40_000] == 40_001
 
 
@@ -129,9 +133,10 @@ def test_header_only_trace_is_empty(tmp_path):
 
 
 def test_blank_only_chunk_warns_nothing(tmp_path, capsys):
-    # the second two-line chunk holds only blank lines
+    # one-character blocks end at a line end, so the third and fourth
+    # blocks hold only a blank line each
     source = _csv_source(tmp_path, "input_tokens,output_tokens\n1,2\n5,6\n\n\r\n3,4\n")
-    with mock.patch.object(ingest, "_CHUNK_LINES", 2), \
+    with mock.patch.object(ingest, "_CHUNK_CHARS", 1), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         load = load_trace(source)
@@ -150,8 +155,8 @@ def test_repeated_column_name_reads_its_last_column(tmp_path):
 
 def test_quoted_record_across_chunk_boundary(tmp_path):
     text = 'input_tokens,output_tokens\r\n1,2\r\n\r\n"3\r\n",x\r\n5,"6"\r\nbad,1\r\n'
-    for chunk_lines in CHUNK_LINES:
-        with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+    for chunk_chars in CHUNK_CHARS:
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             load = load_trace(_csv_source(tmp_path, text), permissive=True)
         assert load.requests == [Request(1, 2), Request(5, 6)]
         assert [(e.line, e.message) for e in load.malformed] == [
