@@ -6,10 +6,11 @@ single-pass into two int64 columns; malformed rows abort the run unless
 permissive mode is on, in which case they are skipped and reported.
 
 A csv trace is read in text blocks of _CHUNK_CHARS characters, each
-completed to a line end. A block with no quote, no `\\r`, no blank line and
-no line longer than the csv module's field size limit goes to one
-np.loadtxt call. Any other block, or one that loadtxt cannot parse exactly
-(a bad, negative or missing value), is split into lines once. A block that
+completed to a line end. A block with no quote, no `\\r` outside a `\\r\\n`
+pair, no blank line and no line longer than the csv module's field size
+limit goes to one np.loadtxt call. Any other block, or one that loadtxt
+cannot parse exactly (a bad, negative or missing value), is split into
+lines once, where the csv module splits them. A block that
 holds a quote or an over-long line goes through the csv row parser, which
 gives each malformed row its physical line number and message, and fails
 on an oversized field as csv.DictReader does. The others are sifted: the
@@ -44,6 +45,7 @@ TRACE_FORMATS = ("generic-csv", "jsonl")
 
 _CHUNK_CHARS = 1 << 19
 _JSONL_ROWS = 1 << 16
+_STATS_SLICE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -171,28 +173,23 @@ def _parse_block(block: str, stream: TextIO, first_line: int, columns, plain,
                  malformed: list[RowError]) -> tuple[np.ndarray, int]:
     """The (rows, 2) token block of a text block and the physical lines read.
 
-    A block with no quote, no `\\r`, no blank line and no line longer than
-    the csv field size limit goes to one loadtxt call, and is taken when
-    loadtxt gives one nonnegative row per line. Any other block is split
-    into lines once: one with a quote or an over-long line goes to the row
-    parser (which may read on into `stream` to end a quoted record), the
-    others are sifted.
+    A block with no quote, no `\\r` outside a `\\r\\n` pair, no blank line
+    and no line longer than the csv field size limit goes to one loadtxt
+    call, and is taken when loadtxt gives one nonnegative row per line. Any
+    other block is split into lines once, where the csv module splits them:
+    one with a quote or an over-long line goes to the row parser (which may
+    read on into `stream` to end a quoted record), the others are sifted.
     """
     usecols = tuple(i for i, _ in columns)
-    cr = "\r" in block
-    rows_only = '"' in block or _overlong(block.replace("\r", "\n") if cr else block,
-                                          csv.field_size_limit())
-    if not (rows_only or cr or block[0] == "\n" or "\n\n" in block):
+    rows_only = '"' in block or _overlong(block, csv.field_size_limit())
+    if not (rows_only or block[0] == "\n" or "\n\n" in block or "\r" in block and (
+            block.count("\r") != block.count("\r\n") or block.startswith("\r\n")
+            or "\n\r\n" in block)):
         rows = block.count("\n") + (block[-1] != "\n")
         tokens = _loadtxt(io.StringIO(block), usecols)
         if tokens is not None and len(tokens) == rows and tokens.min() >= 0:
             return tokens, rows
-    if cr or rows_only:
-        lines = io.StringIO(block, newline="").readlines()  # where the csv module splits
-    else:
-        lines = block.split("\n")
-        if not lines[-1]:
-            lines.pop()
+    lines = io.StringIO(block, newline="").readlines()
     tokens = None if rows_only else _sift(lines, first_line, columns, plain, malformed)
     if tokens is None:
         return _parse_rows(chain(lines, stream), len(lines), first_line, columns, malformed)
@@ -202,7 +199,8 @@ def _parse_block(block: str, stream: TextIO, first_line: int, columns, plain,
 def _overlong(block: str, limit: int) -> bool:
     """Whether a line of `block`, taken to end at `\\n`, may be longer than
     `limit` characters. Only a line that runs across a multiple of `limit`
-    can be, so only those lines are measured."""
+    can be, so only those lines are measured. A `\\r` that ends a line
+    only makes it shorter, so this may err only towards the row parser."""
     for at in range(limit, len(block), limit):
         end = block.find("\n", at)
         if (len(block) if end < 0 else end) - block.rfind("\n", 0, at) > limit:
@@ -360,10 +358,10 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
     Median uses the lower middle element for even counts and p99 is the
     nearest-rank (no interpolation) percentile, so both stay integers for
     integer input. Std is the population (divide-by-n) form. All of them
-    come from the distinct values and their counts. Mean and std come from
-    exact integer sums, which no int64 value can overflow: the mean is the
-    exact mean rounded once, the std the square root of the exact variance
-    rounded to a float.
+    come from one sorted copy. Mean and std come from exact integer sums,
+    which no int64 value can overflow, over the distinct values and counts
+    of _STATS_SLICE sorted values at a time: the mean is the exact mean
+    rounded once, the std within one ulp of the exact population std.
     """
     import numpy as np
 
@@ -372,24 +370,23 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
         raise ValidationError("cannot compute statistics of an empty sequence")
     if arr.min() < 0:
         raise ValidationError("token counts must be nonnegative")
-    distinct, counts = np.unique(arr.astype(np.int64, copy=False), return_counts=True)
-    ends = np.cumsum(counts)  # one past the last sorted position of each distinct value
-
-    def ranked(k: int) -> float:  # the k-th smallest value, from 0
-        return float(distinct[np.searchsorted(ends, k, side="right")])
-
+    ordered = np.sort(arr.astype(np.int64, copy=False))
     n = int(arr.size)
-    xs, cs = distinct.tolist(), counts.tolist()
-    total = sum(map(mul, xs, cs))
-    squares = sum(map(mul, map(mul, xs, xs), cs))
+    total = squares = 0
+    for start in range(0, n, _STATS_SLICE):
+        part = ordered[start:start + _STATS_SLICE]
+        at = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))  # where runs start
+        xs, cs = part[at].tolist(), np.diff(at, append=len(part)).tolist()
+        total += sum(map(mul, xs, cs))
+        squares += sum(map(mul, map(mul, xs, xs), cs))
     p99_rank = -((-99 * n) // 100)  # ceil(0.99 * n) in exact integer arithmetic
     return TraceStats(
         count=n,
         mean=total / n,
         std=math.sqrt((squares * n - total * total) / (n * n)),
-        median=ranked((n - 1) // 2),
-        p99=ranked(p99_rank - 1),
-        max=xs[-1],
+        median=float(ordered[(n - 1) // 2]),
+        p99=float(ordered[p99_rank - 1]),
+        max=int(ordered[-1]),
     )
 
 

@@ -120,6 +120,22 @@ def test_sift_checks_only_the_refused_lines(tmp_path):
     assert load.requests.inputs[40_000] == 40_001
 
 
+@pytest.mark.parametrize("body, sifted", [
+    ("1,2\r\n3,4\r\n", False),
+    ("1,2\r\n3,4", False),
+    ("1,2\r\n\r\n3,4\r\n", True),  # a blank line
+    ("\r\n1,2\r\n3,4\r\n", True),  # a blank first line
+    ("1,2\r3,4\r\n", True),  # a lone \r
+])
+def test_crlf_block_takes_one_loadtxt_call(tmp_path, body, sifted):
+    source = _csv_source(tmp_path, "input_tokens,output_tokens\r\n" + body)
+    with mock.patch.object(ingest, "_sift", wraps=ingest._sift) as sift:
+        load = load_trace(source)
+    assert load.requests.inputs.tolist() == [1, 3]
+    assert load.requests.outputs.tolist() == [2, 4]
+    assert sift.called == sifted
+
+
 def _csv_source(tmp_path, text):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8", newline="")

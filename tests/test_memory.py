@@ -4,7 +4,7 @@ counts numpy's array buffers as well as Python objects.
 A trace command holds the two int64 token columns of its trace. Reading
 them adds at most one text block's worth of temporaries and a little growth
 room, binning adds temporaries of one slice, not of the trace, and
-statistics one sorted copy of a column.
+statistics one sorted copy of a column and one slice's temporaries.
 """
 
 import tracemalloc
@@ -43,10 +43,14 @@ def test_binning_allocates_per_slice_not_per_trace(columns):
         <= 48 * binning._BIN_SLICE
 
 
-def test_stats_allocate_about_one_column_copy(columns):
-    inputs, _ = columns
-    # np.unique's sorted copy and its masks take 1.25 columns; a sorted copy
-    # plus float temporaries for mean and std take 2
+@pytest.mark.parametrize("values", ["lognormal", "all distinct"])
+def test_stats_allocate_about_one_column_copy(columns, values):
+    inputs = columns[0] if values == "lognormal" else \
+        np.random.default_rng(7).permutation(len(columns[0])).astype(np.int64) << 40
+    # a sorted copy and one slice's temporaries take 1.1-1.3 columns; a
+    # sorted copy plus float temporaries take 2, and np.unique over the
+    # whole column 1.25 for few distinct values and 4 for all distinct,
+    # more than twice that with their Python ints
     assert _traced_peak(lambda: compute_stats(inputs)) <= 1.5 * inputs.nbytes
 
 
