@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
-from .core import (BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError, open_text,
-                   parse_caps)
+from .core import (INT64_MAX, BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError,
+                   open_text, parse_caps)
 from .estimator import ESTIMATE_MODES, estimate
 from .flops import idealized_energy, joules_per_flop, workload_flops
 from .ingest import TRACE_FORMATS, TraceSource, load_trace, summarize_trace
@@ -161,24 +161,45 @@ def cmd_baseline(args) -> int:
 
 def _load_estimate_file(path: str) -> SimpleNamespace:
     """The label, total, mode and excluded_requests of an estimate report,
-    which is what `compare` reads of an estimate."""
+    which is what `compare` reads of an estimate. Each must have the json
+    type the report writes it with: a number is never read from a string or
+    a boolean, nor a count from a fraction."""
     p = Path(path)
     try:
         with open_text(p, "estimate file") as stream:
             payload = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except ValidationError:
+        raise
+    except ValueError as exc:  # not json, or an integer too long for int()
         raise ValidationError(f"{p}: not valid json ({exc})") from None
     if not isinstance(payload, dict) or payload.get("kind") != "estimate":
         raise ValidationError(f"{p}: not an estimate report (kind != 'estimate')")
+    for key, what, valid in _ESTIMATE_FIELDS:
+        if key not in payload:
+            raise ValidationError(f"{p}: malformed estimate report (no {key!r})")
+        if not valid(payload[key]):
+            raise ValidationError(
+                f"{p}: malformed estimate report ({key} must be {what}, got {payload[key]!r})")
+    return SimpleNamespace(label=payload["label"], total=Energy(float(payload["total_j"])),
+                           mode=payload["mode"], excluded_requests=payload["excluded_requests"])
+
+
+def _is_joules(value) -> bool:
     try:
-        return SimpleNamespace(
-            label=str(payload["label"]),
-            total=Energy(float(payload["total_j"])),
-            mode=str(payload["mode"]),
-            excluded_requests=int(payload["excluded_requests"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{p}: malformed estimate report ({exc})") from None
+        return type(value) in (int, float) and 0 <= float(value) < math.inf
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+# What compare reads of an estimate report: key, what it must be, its check.
+# bool is an int subclass, so types are compared exactly.
+_ESTIMATE_FIELDS = (
+    ("label", "a string", lambda v: type(v) is str),
+    ("total_j", "a finite nonnegative number", _is_joules),
+    ("mode", "a string", lambda v: type(v) is str),
+    ("excluded_requests", "an integer in [0, 2**63 - 1]",
+     lambda v: type(v) is int and 0 <= v <= INT64_MAX),
+)
 
 
 def cmd_compare(args) -> int:

@@ -10,13 +10,22 @@ through untouched; they are never charged energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .binning import BinnedWorkload
 from .core import Bin, Energy, ValidationError
 from .tables import MeasurementTable, lookup
 
 ESTIMATE_MODES = ("fractional", "ceiling")
+
+
+def _total(energies: Iterable[Energy]) -> Energy:
+    """The sum of `energies` from left to right, as adding Energy objects
+    gives it, in floats: sum() of floats compensates from Python 3.12 on."""
+    joules = 0.0
+    for energy in energies:
+        joules += energy.joules
+    return Energy(joules)
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,7 @@ class WorkloadEstimate:
             raise ValidationError(f"mode must be one of {ESTIMATE_MODES}, got {self.mode!r}")
         if self.excluded_requests < 0:
             raise ValidationError("excluded_requests must be >= 0")
-        summed = sum((be.energy for be in self.per_bin), Energy(0.0))
+        summed = _total(be.energy for be in self.per_bin)
         if abs(summed.joules - self.total.joules) > 1e-9 * max(1.0, self.total.joules):
             raise ValidationError(
                 f"total ({self.total.joules} J) does not match the per-bin sum "
@@ -102,11 +111,11 @@ def estimate(
             provenance=rec.provenance,
         ))
 
-    total = sum((be.energy for be in per_bin), Energy(0.0))
+    total = _total(be.energy for be in per_bin)
     prefill_total = decode_total = None
     if per_bin and all(be.prefill_energy is not None for be in per_bin):
-        prefill_total = sum((be.prefill_energy for be in per_bin), Energy(0.0))
-        decode_total = sum((be.decode_energy for be in per_bin), Energy(0.0))
+        prefill_total = _total(be.prefill_energy for be in per_bin)
+        decode_total = _total(be.decode_energy for be in per_bin)
     return WorkloadEstimate(
         per_bin=tuple(per_bin),
         total=total,

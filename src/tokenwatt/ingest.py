@@ -46,6 +46,9 @@ TRACE_FORMATS = ("generic-csv", "jsonl")
 _CHUNK_CHARS = 1 << 19
 _JSONL_ROWS = 1 << 16
 _STATS_SLICE = 1 << 13
+# A slice whose values are all below this bound has sums of values and of
+# squares below _STATS_SLICE * (2**25 - 1)**2 < 2**63, exact in int64.
+_STATS_INT64_BOUND = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -359,9 +362,11 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
     nearest-rank (no interpolation) percentile, so both stay integers for
     integer input. Std is the population (divide-by-n) form. All of them
     come from one sorted copy. Mean and std come from exact integer sums,
-    which no int64 value can overflow, over the distinct values and counts
-    of _STATS_SLICE sorted values at a time: the mean is the exact mean
-    rounded once, the std within one ulp of the exact population std.
+    which no int64 value can overflow, over _STATS_SLICE sorted values at a
+    time: in int64 for a slice whose values are below _STATS_INT64_BOUND,
+    else over its distinct values and counts as Python ints. The mean is the
+    exact mean rounded once, the std within one ulp of the exact population
+    std.
     """
     import numpy as np
 
@@ -375,10 +380,14 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
     total = squares = 0
     for start in range(0, n, _STATS_SLICE):
         part = ordered[start:start + _STATS_SLICE]
-        at = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))  # where runs start
-        xs, cs = part[at].tolist(), np.diff(at, append=len(part)).tolist()
-        total += sum(map(mul, xs, cs))
-        squares += sum(map(mul, map(mul, xs, xs), cs))
+        if part[-1] < _STATS_INT64_BOUND:
+            total += int(part.sum())
+            squares += int(np.dot(part, part))
+        else:
+            at = np.flatnonzero(np.concatenate(([True], part[1:] != part[:-1])))  # run starts
+            xs, cs = part[at].tolist(), np.diff(at, append=len(part)).tolist()
+            total += sum(map(mul, xs, cs))
+            squares += sum(map(mul, map(mul, xs, xs), cs))
     p99_rank = -((-99 * n) // 100)  # ceil(0.99 * n) in exact integer arithmetic
     return TraceStats(
         count=n,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     Bin,
@@ -103,6 +103,25 @@ class MeasurementRecord:
         return self.batch_energy.joules / self.max_batch
 
 
+def _new_record(backend: str, device: str, input_cap: int, output_cap: int, max_batch: int,
+                batch_energy: Energy, prefill_energy: Optional[Energy],
+                decode_energy: Optional[Energy], samples_measured: int, warmup_batches: int,
+                provenance: str) -> MeasurementRecord:
+    """The MeasurementRecord of these fields, checked as __init__ checks it.
+    The __init__ of a frozen dataclass sets each field through
+    object.__setattr__, which takes about twice as long as setting them in
+    one step as this does; a table load makes one record per row."""
+    rec = object.__new__(MeasurementRecord)
+    rec.__dict__.update(
+        backend=backend, device=device, input_cap=input_cap, output_cap=output_cap,
+        max_batch=max_batch, batch_energy=batch_energy, prefill_energy=prefill_energy,
+        decode_energy=decode_energy, samples_measured=samples_measured,
+        warmup_batches=warmup_batches, provenance=provenance,
+    )
+    rec.__post_init__()
+    return rec
+
+
 @dataclass(frozen=True)
 class TableMetadata:
     """Measurement-protocol context carried with a table, not enforced by it."""
@@ -113,45 +132,51 @@ class TableMetadata:
     padding_policy: str = "unspecified"
 
 
-class _Configuration(NamedTuple):
-    """The measured cells of one (backend, device), sorted, and the sorted
-    distinct caps measured on each axis."""
+class _Configuration:
+    """The measured cells of one (backend, device) by (input_cap,
+    output_cap), and the sorted distinct caps measured on each axis."""
 
-    cells: list[tuple[int, int]]
-    input_caps: list[int]
-    output_caps: list[int]
+    def __init__(self, records: dict[tuple[int, int], MeasurementRecord]) -> None:
+        self.records = records
+        self.input_caps = sorted({i for i, _ in records})
+        self.output_caps = sorted({o for _, o in records})
+        self._logs: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def logs(self, cell: tuple[int, int]) -> tuple[float, float]:
+        """Log per-request energy and log max batch of a measured cell, taken
+        when it is first a corner of an interpolated bin."""
+        logs = self._logs.get(cell)
+        if logs is None:
+            rec = self.records[cell]
+            logs = self._logs[cell] = (math.log(rec.per_request_joules),
+                                       math.log(float(rec.max_batch)))
+        return logs
 
 
 @dataclass(frozen=True)
 class MeasurementTable:
     records: tuple[MeasurementRecord, ...]
     metadata: TableMetadata
-    _index: dict = field(init=False, repr=False, compare=False)
     _configurations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index: dict[tuple[str, str, int, int], MeasurementRecord] = {}
-        cells: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        grid = self.metadata.grid
+        input_caps, output_caps = set(grid.input_bins), set(grid.output_bins)
+        cells: dict[tuple[str, str], dict[tuple[int, int], MeasurementRecord]] = {}
         for rec in self.records:
-            if not self.metadata.grid.contains(rec.bin):
-                raise ValidationError(
-                    f"bin ({rec.input_cap}, {rec.output_cap}) is not on the table grid"
-                )
-            key = (rec.backend, rec.device, rec.input_cap, rec.output_cap)
-            if key in index:
+            i, o = cell = (rec.input_cap, rec.output_cap)
+            if i not in input_caps or o not in output_caps:
+                Bin(i, o)  # a cap below 1 is refused as a bin before it is looked for
+                raise ValidationError(f"bin ({i}, {o}) is not on the table grid")
+            config = cells.setdefault((rec.backend, rec.device), {})
+            if cell in config:
                 raise ValidationError(
                     f"duplicate record for backend={rec.backend!r} device={rec.device!r} "
-                    f"bin=({rec.input_cap}, {rec.output_cap})"
+                    f"bin=({i}, {o})"
                 )
-            index[key] = rec
-            cells.setdefault((rec.backend, rec.device), []).append((rec.input_cap, rec.output_cap))
-        configurations = {
-            config: _Configuration(sorted(pairs), sorted({i for i, _ in pairs}),
-                                   sorted({o for _, o in pairs}))
-            for config, pairs in cells.items()
-        }
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_configurations", configurations)
+            config[cell] = rec
+        object.__setattr__(self, "_configurations",
+                           {config: _Configuration(recs) for config, recs in cells.items()})
 
     def configurations(self) -> list[tuple[str, str]]:
         """Sorted distinct (backend, device) pairs."""
@@ -159,10 +184,11 @@ class MeasurementTable:
 
     def bins_for(self, backend: str, device: str) -> list[Bin]:
         config = self._configurations.get((backend, device))
-        return [] if config is None else [Bin(i, o) for i, o in config.cells]
+        return [] if config is None else [Bin(i, o) for i, o in sorted(config.records)]
 
     def get(self, backend: str, device: str, b: Bin) -> Optional[MeasurementRecord]:
-        return self._index.get((backend, device, b.input_cap, b.output_cap))
+        config = self._configurations.get((backend, device))
+        return None if config is None else config.records.get((b.input_cap, b.output_cap))
 
 
 def lookup(
@@ -209,18 +235,14 @@ def _interpolate(table: MeasurementTable, backend: str, device: str, b: Bin) -> 
         raise ValidationError(f"no records for backend={backend!r} device={device!r}")
     i_lo, i_hi = _bracket(config.input_caps, b.input_cap, "input", b)
     o_lo, o_hi = _bracket(config.output_caps, b.output_cap, "output", b)
-
-    corners = {}
     for ic in {i_lo, i_hi}:
         for oc in {o_lo, o_hi}:
-            rec = table.get(backend, device, Bin(ic, oc))
-            if rec is None:
+            if (ic, oc) not in config.records:
                 raise ValidationError(
                     f"cannot interpolate bin ({b.input_cap}, {b.output_cap}): "
                     f"missing measured neighbor ({ic}, {oc}) for backend={backend!r} "
                     f"device={device!r}"
                 )
-            corners[(ic, oc)] = rec
 
     ti = 0.0 if i_lo == i_hi else (
         (math.log(b.input_cap) - math.log(i_lo)) / (math.log(i_hi) - math.log(i_lo))
@@ -228,31 +250,15 @@ def _interpolate(table: MeasurementTable, backend: str, device: str, b: Bin) -> 
     to = 0.0 if o_lo == o_hi else (
         (math.log(b.output_cap) - math.log(o_lo)) / (math.log(o_hi) - math.log(o_lo))
     )
-
-    def blend(value_of) -> float:
-        v00 = math.log(value_of(corners[(i_lo, o_lo)]))
-        v01 = math.log(value_of(corners[(i_lo, o_hi)]))
-        v10 = math.log(value_of(corners[(i_hi, o_lo)]))
-        v11 = math.log(value_of(corners[(i_hi, o_hi)]))
-        return math.exp(
-            (1 - ti) * (1 - to) * v00 + (1 - ti) * to * v01
-            + ti * (1 - to) * v10 + ti * to * v11
-        )
-
-    per_request = blend(lambda r: r.per_request_joules)
-    max_batch = max(1, round(blend(lambda r: float(r.max_batch))))
-    anchor = corners[(i_lo, o_lo)]
-    return MeasurementRecord(
-        backend=backend,
-        device=device,
-        input_cap=b.input_cap,
-        output_cap=b.output_cap,
-        max_batch=max_batch,
-        batch_energy=Energy(per_request * max_batch),
-        samples_measured=anchor.samples_measured,
-        warmup_batches=anchor.warmup_batches,
-        provenance=INTERPOLATED,
-    )
+    (e00, b00), (e01, b01) = config.logs((i_lo, o_lo)), config.logs((i_lo, o_hi))
+    (e10, b10), (e11, b11) = config.logs((i_hi, o_lo)), config.logs((i_hi, o_hi))
+    w00, w01, w10, w11 = (1 - ti) * (1 - to), (1 - ti) * to, ti * (1 - to), ti * to
+    per_request = math.exp(w00 * e00 + w01 * e01 + w10 * e10 + w11 * e11)
+    max_batch = max(1, round(math.exp(w00 * b00 + w01 * b01 + w10 * b10 + w11 * b11)))
+    anchor = config.records[(i_lo, o_lo)]
+    return _new_record(backend, device, b.input_cap, b.output_cap, max_batch,
+                       Energy(per_request * max_batch), None, None, anchor.samples_measured,
+                       anchor.warmup_batches, INTERPOLATED)
 
 
 def default_kv_bytes_per_token(model: ModelConfig) -> int:
@@ -350,54 +356,51 @@ def load_table(path_or_buf) -> MeasurementTable:
 
 
 def _parse_record(fields: list[str], where: str) -> MeasurementRecord:
-    row = dict(zip(TABLE_COLUMNS, fields))
-    unit = row["energy_unit"]
-    if unit not in ENERGY_UNIT_FACTORS:
+    (backend, device, input_cap, output_cap, max_batch, batch_energy, unit,
+     prefill_energy, decode_energy, samples_measured, warmup_batches) = fields
+    factor = ENERGY_UNIT_FACTORS.get(unit)
+    if factor is None:
         raise ValidationError(
             f"{where}: energy_unit must be one of "
             f"{sorted(ENERGY_UNIT_FACTORS)}, got {unit!r}"
         )
-    factor = ENERGY_UNIT_FACTORS[unit]
-
-    def energy(col: str) -> Optional[Energy]:
-        raw = row[col]
-        if raw == "":
-            return None
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValidationError(f"{where}: {col} is not a number: {raw!r}") from None
-        joules = value * factor
-        if not 0 < joules < math.inf:
-            raise ValidationError(
-                f"{where}: {col} must be positive and finite, got {raw!r}"
-            )
-        return Energy(joules)
-
-    def integer(col: str) -> int:
-        try:
-            return parse_int(row[col])
-        except ValueError:
-            raise ValidationError(f"{where}: {col} is not an integer: {row[col]!r}") from None
-        except OverflowError:
-            raise ValidationError(f"{where}: {col} exceeds the int64 range: {row[col]}") from None
-
-    batch_energy = energy("batch_energy")
+    # the columns are checked in this order, and the record's own checks
+    # after them, so a row with several faults reports the same one always
+    batch_energy = _energy(batch_energy, factor, "batch_energy", where)
     if batch_energy is None:
         raise ValidationError(f"{where}: batch_energy is required")
-    kwargs = dict(
-        backend=row["backend"],
-        device=row["device"],
-        input_cap=integer("input_cap"),
-        output_cap=integer("output_cap"),
-        max_batch=integer("max_batch"),
-        batch_energy=batch_energy,
-        prefill_energy=energy("prefill_energy"),
-        decode_energy=energy("decode_energy"),
-        samples_measured=integer("samples_measured"),
-        warmup_batches=integer("warmup_batches"),
-    )
+    input_cap = _integer(input_cap, "input_cap", where)
+    output_cap = _integer(output_cap, "output_cap", where)
+    max_batch = _integer(max_batch, "max_batch", where)
+    prefill_energy = _energy(prefill_energy, factor, "prefill_energy", where)
+    decode_energy = _energy(decode_energy, factor, "decode_energy", where)
+    samples_measured = _integer(samples_measured, "samples_measured", where)
+    warmup_batches = _integer(warmup_batches, "warmup_batches", where)
     try:
-        return MeasurementRecord(**kwargs)
+        return _new_record(backend, device, input_cap, output_cap, max_batch, batch_energy,
+                           prefill_energy, decode_energy, samples_measured, warmup_batches,
+                           MEASURED)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+def _energy(raw: str, factor: float, col: str, where: str) -> Optional[Energy]:
+    """The energy of a table field in unit `factor`, None when it is empty."""
+    if raw == "":
+        return None
+    try:
+        joules = float(raw) * factor
+    except ValueError:
+        raise ValidationError(f"{where}: {col} is not a number: {raw!r}") from None
+    if not 0 < joules < math.inf:
+        raise ValidationError(f"{where}: {col} must be positive and finite, got {raw!r}")
+    return Energy(joules)
+
+
+def _integer(raw: str, col: str, where: str) -> int:
+    try:
+        return parse_int(raw)
+    except ValueError:
+        raise ValidationError(f"{where}: {col} is not an integer: {raw!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{where}: {col} exceeds the int64 range: {raw}") from None

@@ -215,6 +215,58 @@ def test_estimate_report_number_beyond_float_is_a_data_error(fixture_paths, caps
     assert _one_error_line(capsys).startswith(f"error: {report}: malformed estimate report")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("excluded_requests", "1.5"), ("excluded_requests", "true"), ("excluded_requests", '"7"'),
+    ("excluded_requests", "-1"),
+    pytest.param("excluded_requests", "9" * 400, id="excluded_requests-400-digits"),
+    ("excluded_requests", str(2**63)), ("excluded_requests", "null"),
+    ("total_j", "true"), ("total_j", '"6.0"'), ("total_j", "-1.0"), ("total_j", "NaN"),
+    ("total_j", "Infinity"), ("label", "7"), ("label", "null"), ("mode", "[]"),
+])
+def test_estimate_report_fields_must_have_their_json_types(fixture_paths, capsys, field,
+                                                           value):
+    # compare reads each field only as the json type the report writes it
+    # with, never converting a string, a boolean or a fraction
+    report = Path(_pipeline_files(fixture_paths)["report"])
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    report.write_text(json.dumps({**payload, field: "@"}).replace('"@"', value),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert run("compare", "--estimates", str(report), "--baseline-j", "1.0",
+               "--reference", "vllm", "--format", "csv") == 2
+    assert _one_error_line(capsys).startswith(
+        f"error: {report}: malformed estimate report ({field} must be ")
+
+
+def test_estimate_report_accepts_every_json_number_for_its_total(fixture_paths, capsys):
+    report = Path(_pipeline_files(fixture_paths)["report"])
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    for total in (6, 0, 1e300):
+        report.write_text(json.dumps({**payload, "total_j": total}), encoding="utf-8")
+        capsys.readouterr()
+        assert run("compare", "--estimates", str(report), "--baseline-j", "1.0",
+                   "--reference", "vllm") == 0
+        assert json.loads(capsys.readouterr().out)["entries"][0]["energy_j"] == total
+
+
+def test_estimate_report_missing_field_or_over_long_integer_is_a_data_error(fixture_paths,
+                                                                            capsys):
+    report = Path(_pipeline_files(fixture_paths)["report"])
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    del payload["mode"]
+    report.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run("compare", "--estimates", str(report), "--baseline-j", "1.0",
+               "--reference", "vllm") == 2
+    assert _one_error_line(capsys) == f"error: {report}: malformed estimate report (no 'mode')\n"
+    # json reads an integer of over 4300 digits with int(), which refuses it
+    report.write_text(json.dumps({**payload, "mode": "fractional", "excluded_requests": "@"})
+                      .replace('"@"', "1" * 5000), encoding="utf-8")
+    assert run("compare", "--estimates", str(report), "--baseline-j", "1.0",
+               "--reference", "vllm") == 2
+    assert _one_error_line(capsys).startswith(f"error: {report}: not valid json (")
+
+
 def test_compare_rejects_non_estimate_json(fixture_paths, capsys):
     d = fixture_paths["dir"]
     (d / "junk.json").write_text('{"kind": "other"}', encoding="utf-8")

@@ -7,13 +7,15 @@ output must still come out byte for byte the same.
 """
 
 import contextlib
+import csv
 import io
 from pathlib import Path
 
 import pytest
 
 import tokenwatt.cli as cli
-from tokenwatt import BinGrid, ValidationError, load_table, read_binned_csv
+from tokenwatt import (BinGrid, HardwareSpec, ModelConfig, ValidationError, load_table,
+                       read_binned_csv, synthesize_table, write_table)
 from tokenwatt.csvio import format_csv, read_csv, write_csv
 
 HEADER = ("name", "label", "x", "y")
@@ -154,3 +156,44 @@ def test_reader_file_errors(tmp_path):
     latin.write_bytes(b"name,label,x,y\n\xff,a,1,2\n")
     with pytest.raises(ValidationError, match=f"{latin}: not valid UTF-8"):
         read_csv(latin, HEADER, "test file", _keep)
+
+
+def test_plain_lines_split_as_the_csv_reader_splits_them():
+    # the reader splits a line with str.split when it has no quote and no
+    # carriage return and is within the field size limit, and with the csv
+    # module otherwise; both must give the same fields
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    limit = csv.field_size_limit()
+    chars = st.one_of(st.sampled_from(", \t\x00\x0b\x0c\x1c\x85\u2028\\'#="),
+                      st.characters(blacklist_characters='"\r\n', blacklist_categories=("Cs",)))
+
+    @hypothesis.given(st.text(chars, min_size=1))
+    @hypothesis.example("a" * limit)
+    @hypothesis.example("," * limit)
+    @hypothesis.example("a," * (limit // 2))
+    def check(line):
+        assert line.split(",") == next(csv.reader((line,)))
+
+    check()
+
+
+def test_synthesized_tables_load_back_equal():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    caps = st.lists(st.integers(1, 10**5), min_size=1, max_size=5, unique=True).map(sorted)
+    model = ModelConfig(n_layers=2, d_model=64, n_heads=4, n_kv_heads=2, d_ff=128,
+                        vocab_size=1000)
+    hw = HardwareSpec(name="A100-PCIe", tdp=300.0, peak_flops=309.7e12)
+
+    @hypothesis.given(caps, caps, st.floats(0.01, 1.0), st.floats(1.0, 10.0),
+                      st.floats(1e3, 1e12), st.sampled_from(["vllm", "sglang", "tgi x"]))
+    def check(input_bins, output_bins, efficiency, decode_penalty, memory_bytes, backend):
+        table = synthesize_table(BinGrid(tuple(input_bins), tuple(output_bins)), model, hw,
+                                 efficiency, decode_penalty, backend=backend,
+                                 memory_bytes=memory_bytes)
+        buf = io.StringIO()
+        write_table(table, buf)
+        assert load_table(io.StringIO(buf.getvalue())) == table
+
+    check()

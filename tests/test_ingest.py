@@ -206,6 +206,20 @@ def test_stats_match_exact_fractions():
     check()
 
 
+@pytest.mark.parametrize("top", [ingest._STATS_INT64_BOUND - 1, ingest._STATS_INT64_BOUND])
+def test_stats_are_exact_at_the_int64_sum_bound(top):
+    # slices of values below the bound are summed in int64, the rest as
+    # Python ints; a slice of the largest values either way sums exactly,
+    # though 8192 squares of 2**25 reach 2**63
+    xs = [top] * (2 * ingest._STATS_SLICE) + [0, 1, top - 1]
+    s = compute_stats(np.array(xs, dtype=np.int64))
+    n = len(xs)
+    var = Fraction(n * sum(x * x for x in xs) - sum(xs) ** 2, n * n)
+    assert s.mean == float(Fraction(sum(xs), n))
+    below, above = math.nextafter(s.std, 0), math.nextafter(s.std, math.inf)
+    assert Fraction(below) ** 2 <= var <= Fraction(above) ** 2
+
+
 @pytest.mark.parametrize("rows", [1, 2, 7])
 def test_jsonl_columns_do_not_depend_on_flush_size(tmp_path, rows):
     lines = []

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -257,15 +258,95 @@ def test_load_rejects_wrong_field_count():
         load_table(io.StringIO(text))
 
 
-@pytest.mark.parametrize("row, message", [
+OVER_INT64 = "9223372036854775808"
+
+
+def _row(**changes):
+    """A table row on the (256, 8) grid, fields replaced by name."""
+    fields = dict(backend="vllm", device="A100", input_cap="256", output_cap="8", max_batch="1",
+                  batch_energy="2.0", energy_unit="J", prefill_energy="", decode_energy="",
+                  samples_measured="1024", warmup_batches="20")
+    fields.update(changes)
+    return ",".join(fields.values())
+
+
+INTEGER_COLUMNS = ("input_cap", "output_cap", "max_batch", "samples_measured", "warmup_batches")
+ENERGY_COLUMNS = ("batch_energy", "prefill_energy", "decode_energy")
+
+
+def _energy_row(col, value):
+    # the other energy columns stay valid and the split within 0.5%
+    energies = dict(batch_energy="2.0", prefill_energy="1.0", decode_energy="1.0")
+    energies[col] = value
+    return _row(**energies)
+
+
+# Every fault a table row can have, with the exact message it is reported by;
+# a row with two faults reports the one checked first.
+ROW_FAULTS = [
     ("vllm,A100,x,8,1,2.0,J,,,1024,20", "input_cap is not an integer: 'x'"),
     ("vllm,A100,256,8,1,2.0,J,x,1.0,1024,20", "prefill_energy is not a number: 'x'"),
-])
+    (_row(energy_unit="BTU"), "energy_unit must be one of ['J', 'Wh', 'kWh'], got 'BTU'"),
+    (_row(energy_unit=""), "energy_unit must be one of ['J', 'Wh', 'kWh'], got ''"),
+    *[(_row(**{col: "1.5"}), f"{col} is not an integer: '1.5'") for col in INTEGER_COLUMNS],
+    *[(_row(**{col: OVER_INT64}), f"{col} exceeds the int64 range: {OVER_INT64}")
+      for col in INTEGER_COLUMNS],
+    (_row(max_batch=f"-{OVER_INT64}1"), f"max_batch exceeds the int64 range: -{OVER_INT64}1"),
+    (_row(batch_energy=""), "batch_energy is required"),
+    (_row(batch_energy="abc"), "batch_energy is not a number: 'abc'"),
+    *[(_energy_row(col, value), f"{col} must be positive and finite, got {value!r}")
+      for col in ENERGY_COLUMNS for value in ("0", "-1", "inf", "nan")],
+    (_row(batch_energy="1e305", energy_unit="kWh"),
+     "batch_energy must be positive and finite, got '1e305'"),
+    (_row(prefill_energy="1.0"), "prefill_energy and decode_energy must be given together"),
+    (_row(decode_energy="1.0"), "prefill_energy and decode_energy must be given together"),
+    (_row(prefill_energy="1.0", decode_energy="0.98"),
+     "prefill+decode (1.98 J) differs from batch_energy (2.0 J) by more than 0.5%"),
+    (_row(max_batch="0"), "max_batch must be >= 1, got 0"),
+    (_row(samples_measured="0"), "samples_measured must be >= 1, got 0"),
+    (_row(warmup_batches="-1"), "warmup_batches must be >= 0, got -1"),
+    (_row(input_cap="999"), "bin (999, 8) is not on the table grid"),
+    (_row(input_cap="0"), "bin caps must be positive, got (0, 8)"),
+    (_row(output_cap="-8"), "bin caps must be positive, got (256, -8)"),
+    (_row() + "\n" + _row(), "duplicate record for backend='vllm' device='A100' bin=(256, 8)"),
+    (_row()[:-3], "expected 11 fields, got 10"),
+    (_row(device="A\r100"), "unreadable csv (new-line character seen in unquoted field - "
+                            "do you need to open the file in universal-newline mode?)"),
+    pytest.param(_row(device="A" * (csv.field_size_limit() + 1)),
+                 f"unreadable csv (field larger than field limit ({csv.field_size_limit()}))",
+                 id="field-over-size-limit"),
+    # two faults: the first in this order is reported: energy_unit, batch_energy,
+    # input_cap, output_cap, max_batch, prefill_energy, decode_energy,
+    # samples_measured, warmup_batches, then the record checks, then the grid
+    (_row(energy_unit="BTU", input_cap="x"),
+     "energy_unit must be one of ['J', 'Wh', 'kWh'], got 'BTU'"),
+    (_row(batch_energy="0", input_cap="x"),
+     "batch_energy must be positive and finite, got '0'"),
+    (_row(batch_energy="", max_batch="x"), "batch_energy is required"),
+    (_row(input_cap="x", output_cap="y"), "input_cap is not an integer: 'x'"),
+    (_row(max_batch="x", prefill_energy="x"), "max_batch is not an integer: 'x'"),
+    (_row(prefill_energy="0", decode_energy="x"),
+     "prefill_energy must be positive and finite, got '0'"),
+    (_row(decode_energy="x", samples_measured="x"), "decode_energy is not a number: 'x'"),
+    (_row(samples_measured="0", warmup_batches="x"), "warmup_batches is not an integer: 'x'"),
+    (_row(max_batch="0", samples_measured="0"), "max_batch must be >= 1, got 0"),
+    (_row(samples_measured="0", warmup_batches="-1"), "samples_measured must be >= 1, got 0"),
+    (_row(warmup_batches="-1", prefill_energy="1.0"), "warmup_batches must be >= 0, got -1"),
+    (_row(prefill_energy="1.0", decode_energy="0.5", max_batch="0"),
+     "max_batch must be >= 1, got 0"),
+    (_row(input_cap="999", max_batch="0"), "max_batch must be >= 1, got 0"),
+    (_row(input_cap="999") + "\n" + _row(input_cap="999"), "bin (999, 8) is not on the table grid"),
+]
+
+
+@pytest.mark.parametrize("row, message", ROW_FAULTS)
 def test_load_record_error_carries_one_origin_prefix(row, message):
     text = f"# input_bins = 256\n# output_bins = 8\n{HEADER}\n{row}\n"
     with pytest.raises(ValidationError) as exc:
         load_table(io.StringIO(text))
-    assert str(exc.value) == f"<stream>:4: {message}"
+    # the table reports a bin off its grid, or twice in it, with no line
+    where = "" if message.startswith(("bin ", "duplicate record")) else "<stream>:4: "
+    assert str(exc.value) == where + message
 
 
 def test_load_missing_file():
