@@ -165,12 +165,13 @@ def read_binned_csv(path_or_buf) -> BinnedWorkload:
         raise ValidationError(
             f"{f.origin}: missing '# input_bins = ...' and '# output_bins = ...' comments"
         )
-    counts = {Bin(i, o): c for i, o, c in f.rows if c > 0}
-    if len(counts) != sum(1 for _, _, c in f.rows if c > 0):
-        raise ValidationError(f"{f.origin}: duplicate bin rows")
-    return BinnedWorkload(
-        grid=grid,
-        counts=counts,
-        excluded_input=f.meta_int("excluded_input", 0),
-        excluded_output=f.meta_int("excluded_output", 0),
-    )
+    excluded_input = f.meta_int("excluded_input", 0)
+    excluded_output = f.meta_int("excluded_output", 0)
+    try:
+        counts = {Bin(i, o): c for i, o, c in f.rows}
+        if len(counts) != len(f.rows):
+            raise ValidationError("duplicate bin rows")
+        return BinnedWorkload(grid=grid, counts=counts, excluded_input=excluded_input,
+                              excluded_output=excluded_output)
+    except ValidationError as exc:
+        raise ValidationError(f"{f.origin}: {exc}") from None

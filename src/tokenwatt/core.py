@@ -258,44 +258,6 @@ class Energy:
         if not 0 <= self.joules < math.inf:
             raise ValidationError(f"energy must be finite and nonnegative, got {self.joules} J")
 
-    @classmethod
-    def from_wh(cls, wh: float) -> "Energy":
-        return cls(wh * J_PER_WH)
-
-    @classmethod
-    def from_kwh(cls, kwh: float) -> "Energy":
-        return cls(kwh * J_PER_KWH)
-
-    @property
-    def wh(self) -> float:
-        return self.joules / J_PER_WH
-
-    @property
-    def kwh(self) -> float:
-        return self.joules / J_PER_KWH
-
-    def __add__(self, other: "Energy") -> "Energy":
-        if not isinstance(other, Energy):
-            return NotImplemented
-        return Energy(self.joules + other.joules)
-
-    def __radd__(self, other):  # lets sum() start from 0
-        if other == 0:
-            return self
-        return NotImplemented
-
-    def __mul__(self, factor: float) -> "Energy":
-        if not isinstance(factor, (int, float)):
-            return NotImplemented
-        if factor < 0:
-            raise ValidationError(f"energy scale factor must be nonnegative, got {factor}")
-        return Energy(self.joules * factor)
-
-    __rmul__ = __mul__
-
-
-ZERO_ENERGY = Energy(0.0)
-
 
 def joules_or_none(energy: Optional[Energy]) -> Optional[float]:
     """The joules of an optional energy, None when it is absent."""

@@ -6,16 +6,17 @@ single-pass into two int64 columns; malformed rows abort the run unless
 permissive mode is on, in which case they are skipped and reported.
 
 A csv trace is read in text blocks of _CHUNK_CHARS characters, each
-completed to a line end. A block with no quote, no `\\r` outside a `\\r\\n`
-pair, no blank line and no line longer than the csv module's field size
-limit goes to one np.loadtxt call. Any other block, or one that loadtxt
-cannot parse exactly (a bad, negative or missing value), is split into
-lines once, where the csv module splits them. A block that
-holds a quote or an over-long line goes through the csv row parser, which
-gives each malformed row its physical line number and message, and fails
-on an oversized field as csv.DictReader does. The others are sifted: the
-lines whose two token fields are plain 1-18 digit numbers go through one
-more loadtxt call, and only the others, blank lines included, are checked
+completed to a line end. A block with no quote and no line longer than the
+csv module's field size limit goes to one np.loadtxt call, whose rows stand
+only when there is exactly one nonnegative row per physical line. Any other
+block, or one whose loadtxt rows do not stand (a blank line, a lone `\\r`
+inside the block, a bad, negative or missing value), is split into lines
+once, where the csv module splits them. A block that holds a quote or an
+over-long line goes through the csv row parser, which gives each malformed
+row its physical line number and message, and fails on an oversized field
+as csv.DictReader does. The others are sifted: the lines whose two token
+fields are plain 1-18 digit numbers go through one more loadtxt call, held
+to the same rule, and only the others, blank lines included, are checked
 one row at a time as the row parser checks them; the valid ones among
 those (such as ` 7 ` or `+4`) are put back in file order. Each block's
 tokens go straight into two growing int64 columns, so a load holds about
@@ -176,21 +177,19 @@ def _parse_block(block: str, stream: TextIO, first_line: int, columns, plain,
                  malformed: list[RowError]) -> tuple[np.ndarray, int]:
     """The (rows, 2) token block of a text block and the physical lines read.
 
-    A block with no quote, no `\\r` outside a `\\r\\n` pair, no blank line
-    and no line longer than the csv field size limit goes to one loadtxt
-    call, and is taken when loadtxt gives one nonnegative row per line. Any
-    other block is split into lines once, where the csv module splits them:
-    one with a quote or an over-long line goes to the row parser (which may
-    read on into `stream` to end a quoted record), the others are sifted.
+    A block with no quote and no line longer than the csv field size limit
+    goes to one loadtxt call, and is taken when loadtxt gives exactly one
+    nonnegative row per physical line. Any other block is split into lines
+    once, where the csv module splits them: one with a quote or an
+    over-long line goes to the row parser (which may read on into `stream`
+    to end a quoted record), the others are sifted.
     """
     usecols = tuple(i for i, _ in columns)
     rows_only = '"' in block or _overlong(block, csv.field_size_limit())
-    if not (rows_only or block[0] == "\n" or "\n\n" in block or "\r" in block and (
-            block.count("\r") != block.count("\r\n") or block.startswith("\r\n")
-            or "\n\r\n" in block)):
+    if not rows_only:
         rows = block.count("\n") + (block[-1] != "\n")
-        tokens = _loadtxt(io.StringIO(block), usecols)
-        if tokens is not None and len(tokens) == rows and tokens.min() >= 0:
+        tokens = _loadtxt(io.StringIO(block), rows, usecols)
+        if tokens is not None:
             return tokens, rows
     lines = io.StringIO(block, newline="").readlines()
     tokens = None if rows_only else _sift(lines, first_line, columns, plain, malformed)
@@ -223,9 +222,8 @@ def _sift(lines: list[str], first_line: int, columns, plain, malformed: list[Row
 
     refused = list(map(not_, map(plain, lines)))
     plain_lines = list(compress(lines, map(not_, refused)))
-    usecols = tuple(i for i, _ in columns)
-    block = _loadtxt(plain_lines, usecols) if plain_lines else np.empty((0, 2), dtype=np.int64)
-    if block is None or len(block) != len(plain_lines):
+    block = _loadtxt(plain_lines, len(plain_lines), tuple(i for i, _ in columns))
+    if block is None:
         return None
     at: list[int] = []
     kept: list[tuple[int, int]] = []
@@ -238,19 +236,27 @@ def _sift(lines: list[str], first_line: int, columns, plain, malformed: list[Row
     return np.insert(block, at, kept, axis=0) if kept else block
 
 
-def _loadtxt(lines, usecols: tuple[int, int]):
-    """(rows, 2) int64 token block of `lines` (a list or a text stream), or
-    None when loadtxt refuses them."""
+def _loadtxt(lines, count: int, usecols: tuple[int, int]):
+    """(count, 2) int64 token block of `lines` (a list or a text stream of
+    `count` physical lines), or None unless loadtxt gives exactly one
+    nonnegative row per line.
+
+    loadtxt skips a blank line and refuses a `\\r` anywhere but at the end
+    of a line, so lines with either never stand and the csv module reads
+    them.
+    """
     import numpy as np
 
     try:
         with warnings.catch_warnings():
             # older numpy parses "1.5" as 1 with only a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(lines, delimiter=",", dtype=np.int64, usecols=usecols,
-                              comments=None, ndmin=2)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            tokens = np.loadtxt(lines, delimiter=",", dtype=np.int64, usecols=usecols,
+                                comments=None, ndmin=2)
     except (ValueError, DeprecationWarning):
         return None
+    return tokens if len(tokens) == count and tokens.min(initial=0) >= 0 else None
 
 
 def _parse_rows(lines: Iterator[str], stop: int, first_line: int, columns,

@@ -237,11 +237,12 @@ def _interpolate(table: MeasurementTable, backend: str, device: str, b: Bin) -> 
     o_lo, o_hi = _bracket(config.output_caps, b.output_cap, "output", b)
     for ic in {i_lo, i_hi}:
         for oc in {o_lo, o_hi}:
-            if (ic, oc) not in config.records:
+            rec = config.records.get((ic, oc))
+            if rec is None or not rec.per_request_joules:  # 0.0 has no logarithm
                 raise ValidationError(
                     f"cannot interpolate bin ({b.input_cap}, {b.output_cap}): "
-                    f"missing measured neighbor ({ic}, {oc}) for backend={backend!r} "
-                    f"device={device!r}"
+                    f"{'missing' if rec is None else 'zero per-request energy at'} measured "
+                    f"neighbor ({ic}, {oc}) for backend={backend!r} device={device!r}"
                 )
 
     ti = 0.0 if i_lo == i_hi else (

@@ -195,13 +195,24 @@ def test_binned_csv_requires_grid_comments():
         read_binned_csv(io.StringIO("input_cap,output_cap,count\n32,8,1\n"))
 
 
-def test_binned_csv_rejects_duplicates():
-    text = (
-        "# input_bins = 32,128\n# output_bins = 8\n"
-        "input_cap,output_cap,count\n32,8,1\n32,8,2\n"
-    )
-    with pytest.raises(ValidationError, match="duplicate"):
-        read_binned_csv(io.StringIO(text))
+@pytest.mark.parametrize("rows, message", [
+    ("32,8,1\n32,8,2\n", "duplicate bin rows"),
+    ("32,8,0\n32,8,2\n", "duplicate bin rows"),
+    ("32,8,0\n32,8,0\n", "duplicate bin rows"),
+    ("128,8,-5\n", "count for bin Bin(input_cap=128, output_cap=8) must be nonnegative, got -5"),
+    ("999,8,0\n", "bin Bin(input_cap=999, output_cap=8) is not on the grid"),
+    ("999,8,3\n", "bin Bin(input_cap=999, output_cap=8) is not on the grid"),
+    ("0,8,0\n", "bin caps must be positive, got (0, 8)"),
+], ids=["duplicate", "duplicate_zero", "duplicate_zeros", "negative", "off_grid_zero",
+        "off_grid", "zero_cap"])
+def test_binned_csv_rejects_bad_rows(tmp_path, rows, message):
+    # every row is checked, a zero count's too, and the message names the file
+    path = tmp_path / "binned.csv"
+    path.write_text("# input_bins = 32,128\n# output_bins = 8\n"
+                    "input_cap,output_cap,count\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        read_binned_csv(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_counts_total_accounts_for_every_request(rng):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import tokenwatt
 import tokenwatt.cli as cli
 from tokenwatt import load_table
-from conftest import FIXTURE_TRACE
+from conftest import FIXTURE_TABLE, FIXTURE_TRACE
 
 
 def run(*argv):
@@ -571,6 +572,27 @@ def test_non_finite_table_energy_names_file_and_line(fixture_paths, capsys, valu
     assert f"{table}:4: batch_energy must be positive and finite" in err
 
 
+def test_interpolating_next_to_a_zero_per_request_energy_is_a_data_error(tmp_path, capsys):
+    # 1e-320 J over a batch of 10**6 is 0.0 J per request, which has no logarithm
+    table = tmp_path / "table.csv"
+    table.write_text(FIXTURE_TABLE.splitlines(keepends=True)[0]
+                     + "vllm,A100,128,8,1000000,1e-320,J,,,1024,20\n"
+                     + "vllm,A100,512,8,4,2.0,J,,,1024,20\n", encoding="utf-8")
+    binned = tmp_path / "binned.csv"
+    grid = "# input_bins = 128,256,512\n# output_bins = 8\ninput_cap,output_cap,count\n"
+    argv = ["estimate", "--binned", str(binned), "--table", str(table), "--backend", "vllm",
+            "--device", "A100", "--format", "csv"]
+    binned.write_text(grid + "256,8,3\n", encoding="utf-8")
+    assert run(*argv, "--interpolate") == 2
+    assert _one_error_line(capsys) == (
+        "error: cannot interpolate bin (256, 8): zero per-request energy at measured "
+        "neighbor (128, 8) for backend='vllm' device='A100'\n")
+    # the cell itself still prices by strict lookup
+    binned.write_text(grid + "128,8,3\n", encoding="utf-8")
+    assert run(*argv) == 0
+    assert "\n128,8,3,1000000,3e-06,0.0,,,measured\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_baseline_j_is_a_data_error(fixture_paths, capsys, value):
     d = fixture_paths["dir"]
@@ -822,3 +844,29 @@ def test_arbitrary_input_file_bytes_exit_0_or_2(fixture_paths, capsys, kind):
             assert err == []
 
     check()
+
+
+def _readme_examples() -> list[list[str]]:
+    """The arguments of every `tokenwatt ...` line in the README's sh blocks,
+    with `\\` continuations joined and `<`/`>` redirections dropped."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["tokenwatt"]:
+                examples.append([w for k, w in enumerate(words[1:])
+                                 if w not in ("<", ">") and words[k] not in ("<", ">")])
+    return examples
+
+
+def test_readme_examples_parse():
+    # every example parses (it is not run), so a flag renamed in the code
+    # but not in the README fails here
+    examples = _readme_examples()
+    assert len(examples) >= 11
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: tokenwatt {shlex.join(argv)}")

@@ -116,24 +116,13 @@ def test_n_params_override(toy_model):
 
 
 def test_energy_arithmetic():
-    e = Energy.from_wh(1.0)
-    assert e.joules == 3.6e3
-    assert Energy.from_kwh(1.0).joules == 3.6e6
-    assert Energy(7.2e6).kwh == 2.0
-    assert Energy(3.6e3).wh == 1.0
-    assert (Energy(1.0) + Energy(2.0)).joules == 3.0
-    assert (Energy(2.0) * 3).joules == 6.0
-    assert sum([Energy(1.0), Energy(2.0)], Energy(0.0)).joules == 3.0
-    assert sum([Energy(1.0), Energy(2.0)]).joules == 3.0
+    # Energy holds checked joules only: unit conversion is the table
+    # loader's and the report's, and sums are estimator._total's
     with pytest.raises(ValidationError):
         Energy(-1.0)
-    with pytest.raises(ValidationError):
-        Energy(1.0) * -2
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
             Energy(bad)
-    with pytest.raises(ValidationError, match="finite"):
-        Energy(1.0) * float("inf")
 
 
 def test_config_file_parsing(tmp_path):

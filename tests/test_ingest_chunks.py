@@ -136,6 +136,28 @@ def test_crlf_block_takes_one_loadtxt_call(tmp_path, body, sifted):
     assert sift.called == sifted
 
 
+@pytest.mark.parametrize("body, bad_line", [
+    ("\n1,2\n3,4\nx,5\n", 5),  # a blank first line
+    ("1,2\n\r\n3,4\nx,5\n", 5),  # \n\r\n
+    ("1,2\r\r\n3,4\r\nx,5\r\n", 5),  # a lone \r before a blank line
+    ("1,2\n\r\r\n3,4\nx,5\n", 6),  # a lone \r line before a blank line
+    ("1,2\n\n\n3,4\nx,5\n", 6),  # one-character blocks hold only a blank line
+])
+def test_line_numbers_after_blank_lines_and_lone_cr(tmp_path, body, bad_line):
+    # numpy skips blank lines and the csv module counts them, as it counts a
+    # lone \r as a line end; whichever blocks these lines fall in, the
+    # malformed row after them keeps its physical line number
+    text = "input_tokens,output_tokens\n" + body
+    errors = [(bad_line, "column 'input_tokens' is not an integer: 'x'")]
+    assert oracle_parse_csv(text) == ([(1, 2), (3, 4)], errors)
+    source = _csv_source(tmp_path, text)
+    for chunk_chars in CHUNK_CHARS:
+        with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+            load = load_trace(source, permissive=True)
+        assert load.requests == [Request(1, 2), Request(3, 4)]
+        assert [(e.line, e.message) for e in load.malformed] == errors
+
+
 def _csv_source(tmp_path, text):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8", newline="")
