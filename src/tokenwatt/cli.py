@@ -40,6 +40,11 @@ EXIT_DATA = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    # A flag is taken only as spelled out in full, so that a script keeps
+    # working when a later flag shares its prefix.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; this tool reserves 2 for data errors.
     def error(self, message):
         self.print_usage(sys.stderr)

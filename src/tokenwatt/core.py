@@ -88,7 +88,7 @@ class RequestColumns(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(self)[index]
+            return list(RequestColumns(self.inputs[index], self.outputs[index]))
         return Request(int(self.inputs[index]), int(self.outputs[index]))
 
     def __iter__(self):

@@ -19,11 +19,15 @@ from .tables import MeasurementTable, lookup
 ESTIMATE_MODES = ("fractional", "ceiling")
 
 
-def _total(energies: Iterable[Energy]) -> Energy:
+def _total(energies: Iterable[Optional[Energy]]) -> Optional[Energy]:
     """The sum of `energies` from left to right, as adding Energy objects
-    gives it, in floats: sum() of floats compensates from Python 3.12 on."""
+    gives it, in floats: sum() of floats compensates from Python 3.12 on.
+    None when one of them is None: a partial sum of a split would
+    misattribute the remainder."""
     joules = 0.0
     for energy in energies:
+        if energy is None:
+            return None
         joules += energy.joules
     return Energy(joules)
 
@@ -43,28 +47,30 @@ class BinEstimate:
 @dataclass(frozen=True)
 class WorkloadEstimate:
     per_bin: tuple[BinEstimate, ...]
-    total: Energy
     excluded_requests: int
     mode: str
     backend: str
     device: str
     label: str
-    # Populated only when every contributing record carries the split;
-    # a partial sum would misattribute the remainder.
-    prefill_total: Optional[Energy] = None
-    decode_total: Optional[Energy] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ESTIMATE_MODES:
             raise ValidationError(f"mode must be one of {ESTIMATE_MODES}, got {self.mode!r}")
         if self.excluded_requests < 0:
             raise ValidationError("excluded_requests must be >= 0")
-        summed = _total(be.energy for be in self.per_bin)
-        if abs(summed.joules - self.total.joules) > 1e-9 * max(1.0, self.total.joules):
-            raise ValidationError(
-                f"total ({self.total.joules} J) does not match the per-bin sum "
-                f"({summed.joules} J)"
-            )
+
+    @property
+    def total(self) -> Energy:
+        return _total(be.energy for be in self.per_bin)
+
+    # The split totals are given only when every bin carries the split.
+    @property
+    def prefill_total(self) -> Optional[Energy]:
+        return _total(be.prefill_energy for be in self.per_bin) if self.per_bin else None
+
+    @property
+    def decode_total(self) -> Optional[Energy]:
+        return _total(be.decode_energy for be in self.per_bin) if self.per_bin else None
 
     @property
     def total_requests(self) -> int:
@@ -111,19 +117,11 @@ def estimate(
             provenance=rec.provenance,
         ))
 
-    total = _total(be.energy for be in per_bin)
-    prefill_total = decode_total = None
-    if per_bin and all(be.prefill_energy is not None for be in per_bin):
-        prefill_total = _total(be.prefill_energy for be in per_bin)
-        decode_total = _total(be.decode_energy for be in per_bin)
     return WorkloadEstimate(
         per_bin=tuple(per_bin),
-        total=total,
         excluded_requests=workload.total_excluded,
         mode=mode,
         backend=backend,
         device=device,
         label=label if label is not None else backend,
-        prefill_total=prefill_total,
-        decode_total=decode_total,
     )

@@ -5,8 +5,8 @@ already computed (no tokenization here). Parsing is streaming and
 single-pass into two int64 columns; malformed rows abort the run unless
 permissive mode is on, in which case they are skipped and reported.
 
-A csv trace is read in text blocks of _CHUNK_CHARS characters, each
-completed to a line end. A block with no quote and no line longer than the
+A trace is read in text blocks of _CHUNK_CHARS characters, each completed
+to a line end. A csv block with no quote and no line longer than the
 csv module's field size limit goes to one np.loadtxt call, whose rows stand
 only when there is exactly one nonnegative row per physical line. Any other
 block, or one whose loadtxt rows do not stand (a blank line, a lone `\\r`
@@ -20,8 +20,9 @@ to the same rule, and only the others, blank lines included, are checked
 one row at a time as the row parser checks them; the valid ones among
 those (such as ` 7 ` or `+4`) are put back in file order. Each block's
 tokens go straight into two growing int64 columns, so a load holds about
-its columns and one block. A jsonl trace moves its tokens into the same
-columns every _JSONL_ROWS rows.
+its columns and one block. A jsonl trace is read in the same text blocks
+into the same columns; each block is split into lines as a csv block is,
+and each line that is not blank is read as one json object.
 
 numpy is imported inside the functions that build or read token columns, so
 importing this module (as every command does) does not load it.
@@ -36,6 +37,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress
 from operator import mul, not_
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -45,7 +47,6 @@ from .core import INT64_MAX, Request, RequestColumns, ValidationError, open_text
 TRACE_FORMATS = ("generic-csv", "jsonl")
 
 _CHUNK_CHARS = 1 << 19
-_JSONL_ROWS = 1 << 16
 _STATS_SLICE = 1 << 13
 # A slice whose values are all below this bound has sums of values and of
 # squares below _STATS_SLICE * (2**25 - 1)**2 < 2**63, exact in int64.
@@ -109,10 +110,21 @@ def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
     Raises on any malformed row unless `permissive`, in which case bad rows
     are skipped and returned in .malformed. Row order is preserved.
     """
-    parse = _parse_csv if source.format == "generic-csv" else _parse_jsonl
+    malformed: list[RowError] = []
     try:
         with open_text(source.path, "trace file") as stream:
-            requests, malformed = parse(stream, source)
+            if source.format == "generic-csv":
+                line, parse = _csv_header(stream, source, malformed)
+            else:
+                line, parse = 0, partial(_parse_jsonl_block, source.column_map, malformed)
+            inputs, outputs = _Column(), _Column()
+            while block := stream.read(_CHUNK_CHARS):
+                if block[-1] != "\n":  # end at a line end, and never between `\r` and `\n`
+                    block += stream.readline()
+                tokens, read = parse(block, line)
+                line += read
+                inputs.extend(tokens[:, 0])
+                outputs.extend(tokens[:, 1])
     except csv.Error as exc:
         raise ValidationError(f"{source.path}: unreadable csv ({exc})") from None
     if malformed and not permissive:
@@ -121,7 +133,7 @@ def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
             f"{source.path}: {len(malformed)} malformed row(s); first at line "
             f"{first.line}: {first.message} (use permissive mode to skip)"
         )
-    return TraceLoad(requests=requests, malformed=malformed)
+    return TraceLoad(RequestColumns(inputs.array(), outputs.array()), malformed)
 
 
 def _token_value(raw, column: str) -> int:
@@ -139,7 +151,9 @@ def _token_value(raw, column: str) -> int:
     return raw
 
 
-def _parse_csv(stream: TextIO, source: TraceSource):
+def _csv_header(stream: TextIO, source: TraceSource, malformed: list[RowError]):
+    """Read the header row of a csv trace; return the lines read and the
+    parser of the blocks that follow, as `parse(block, first_line)`."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
@@ -153,17 +167,7 @@ def _parse_csv(stream: TextIO, source: TraceSource):
             raise ValidationError(f"{source.path}: missing column {col!r}; header has {header}")
         columns.append((index[col], col))
     plain = _plain_line(tuple(i for i, _ in columns))
-    inputs, outputs = _Column(), _Column()
-    malformed: list[RowError] = []
-    line = reader.line_num
-    while block := stream.read(_CHUNK_CHARS):
-        if block[-1] != "\n":  # end at a line end, and never between `\r` and `\n`
-            block += stream.readline()
-        tokens, read = _parse_block(block, stream, line, columns, plain, malformed)
-        line += read
-        inputs.extend(tokens[:, 0])
-        outputs.extend(tokens[:, 1])
-    return RequestColumns(inputs.array(), outputs.array()), malformed
+    return reader.line_num, partial(_parse_block, stream, columns, plain, malformed)
 
 
 def _plain_line(usecols: tuple[int, int]):
@@ -173,8 +177,8 @@ def _plain_line(usecols: tuple[int, int]):
     return re.compile(",".join(fields) + "(?![^,\r\n])").match
 
 
-def _parse_block(block: str, stream: TextIO, first_line: int, columns, plain,
-                 malformed: list[RowError]) -> tuple[np.ndarray, int]:
+def _parse_block(stream: TextIO, columns, plain, malformed: list[RowError], block: str,
+                 first_line: int) -> tuple[np.ndarray, int]:
     """The (rows, 2) token block of a text block and the physical lines read.
 
     A block with no quote and no line longer than the csv field size limit
@@ -323,15 +327,18 @@ class _Column:
         return self.values
 
 
-def _parse_jsonl(lines: Iterator[str], source: TraceSource):
+def _parse_jsonl_block(column_map: dict[str, str], malformed: list[RowError], block: str,
+                       first_line: int) -> tuple[np.ndarray, int]:
+    """The (rows, 2) token block of a jsonl text block and the physical lines
+    read. Blank lines are skipped; a malformed line goes to `malformed`,
+    numbered from `first_line`."""
     import numpy as np
 
-    in_col = source.column_map["input_tokens"]
-    out_col = source.column_map["output_tokens"]
-    inputs, outputs = _Column(), _Column()
-    pending: tuple[list[int], list[int]] = ([], [])  # parsed, not yet in the columns
-    malformed: list[RowError] = []
-    for line_num, raw in enumerate(lines, start=1):
+    in_col, out_col = column_map["input_tokens"], column_map["output_tokens"]
+    inputs: list[int] = []
+    outputs: list[int] = []
+    lines = io.StringIO(block, newline="").readlines()
+    for line_num, raw in enumerate(lines, start=first_line + 1):
         if not raw.strip():
             continue
         try:
@@ -346,19 +353,9 @@ def _parse_jsonl(lines: Iterator[str], source: TraceSource):
         except (ValueError, RecursionError) as exc:  # JSONDecodeError and ValidationError are ValueErrors
             malformed.append(RowError(line=line_num, message=str(exc)))
         else:
-            pending[0].append(i)
-            pending[1].append(o)
-            if len(pending[0]) == _JSONL_ROWS:
-                _flush(pending, inputs, outputs)
-    _flush(pending, inputs, outputs)
-    return RequestColumns(inputs.array(), outputs.array()), malformed
-
-
-def _flush(pending: tuple[list[int], list[int]], inputs: _Column, outputs: _Column) -> None:
-    """Move the pending token values into the columns."""
-    for values, column in zip(pending, (inputs, outputs)):
-        column.extend(values)
-        values.clear()
+            inputs.append(i)
+            outputs.append(o)
+    return np.array([inputs, outputs], dtype=np.int64).T, len(lines)
 
 
 def compute_stats(values: Iterable[int]) -> TraceStats:

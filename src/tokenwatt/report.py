@@ -89,7 +89,8 @@ def compare(
     and excluded_requests (which must agree) are inferred. Each entry gets
     its percent overhead above `optimal`; non-reference entries also get
     percent savings relative to the reference entry, positive iff they use
-    less energy.
+    less energy. A percentage that is not finite, such as savings against a
+    reference of 0 J, is a data error naming its entry.
     """
     if optimal.joules <= 0:
         raise ValidationError("optimal energy must be positive")
@@ -123,13 +124,19 @@ def compare(
     reference_j = dict(rows)[reference_label].joules
     entries = []
     for label, energy in sorted(rows, key=lambda r: (r[1].joules, r[0])):
+        pct = 100.0 * (energy.joules - optimal.joules) / optimal.joules
         savings = None
         if label != reference_label:
-            savings = 100.0 * (1.0 - energy.joules / reference_j)
+            savings = 100.0 * (1.0 - energy.joules / reference_j) if reference_j else math.nan
+        for what, value in ((f"over the optimal ({optimal.joules} J)", pct),
+                            (f"of savings vs the reference {reference_label!r} ({reference_j} J)",
+                             savings)):
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"entry {label!r}: its percentage {what} is not finite")
         entries.append(ComparisonEntry(
             label=label,
             energy=energy,
-            pct_delta_vs_optimal=100.0 * (energy.joules - optimal.joules) / optimal.joules,
+            pct_delta_vs_optimal=pct,
             savings_vs_reference=savings,
         ))
     return Comparison(
@@ -289,6 +296,9 @@ def _check_names(*names: tuple[str, str]) -> None:
 def _comparison(c: Comparison, format: str) -> str:
     _check_names(("dataset", c.dataset), ("reference", c.reference_label),
                  *(("label", e.label) for e in c.entries))
+    for e in c.entries:  # a label is the first field of a csv row
+        if e.label.startswith("#"):
+            raise ValidationError(f"label {e.label!r} would read back as a comment")
     if format == "json":
         # The reference label is left out here, though the csv context has
         # it, and excluded_requests comes after the entries.

@@ -24,7 +24,6 @@ from .core import (
 from .tables import (
     MeasurementTable,
     NORMALIZATION_NOTE,
-    PROTOCOL_SAMPLES,
     PROTOCOL_SAMPLES_LARGE_BATCH,
     PROTOCOL_WARMUP_BATCHES,
     protocol_samples,
@@ -47,7 +46,6 @@ class SweepPlan:
     axis: str
     fixed: dict[str, int]
     points: tuple[int, ...]
-    samples_per_point: int
     warmup_batches: int = PROTOCOL_WARMUP_BATCHES
     truncation_source: str = TRUNCATION_SOURCE
 
@@ -72,18 +70,16 @@ class SweepPlan:
             raise ValidationError(f"fixed values must be positive, got {self.fixed}")
         if self.warmup_batches < 0:
             raise ValidationError("warmup_batches must be >= 0")
-        required = protocol_samples(self.max_batch)
-        if self.samples_per_point != required:
-            raise ValidationError(
-                f"samples_per_point must be {required} when the largest batch is "
-                f"{self.max_batch}, got {self.samples_per_point}"
-            )
 
     @property
     def max_batch(self) -> int:
         if self.axis == "batch_size":
             return max(self.points)
         return self.fixed["batch_size"]
+
+    @property
+    def samples_per_point(self) -> int:
+        return protocol_samples(self.max_batch)
 
     @property
     def normalization_note(self) -> Optional[str]:
@@ -129,20 +125,17 @@ def default_sweep_plans() -> list[SweepPlan]:
             axis="input_length",
             fixed={"output_length": out, "batch_size": 1},
             points=_pow2_range(32, 32768),
-            samples_per_point=PROTOCOL_SAMPLES,
         ))
     for inp in (512, 64):
         plans.append(SweepPlan(
             axis="output_length",
             fixed={"input_length": inp, "batch_size": 1},
             points=_pow2_range(8, 4096),
-            samples_per_point=PROTOCOL_SAMPLES,
         ))
     plans.append(SweepPlan(
         axis="batch_size",
         fixed={"input_length": 512, "output_length": 64},
         points=_pow2_range(1, 1024),
-        samples_per_point=PROTOCOL_SAMPLES_LARGE_BATCH,
     ))
     return plans
 
@@ -184,10 +177,17 @@ _PLAN_KEYS = {"axis": str, "points": parse_caps, "samples_per_point": parse_int,
 
 
 def read_plan(path) -> SweepPlan:
+    """The plan of a plan file; its samples_per_point must be the one that
+    the plan's largest batch fixes."""
     values = read_config(path, "plan", _PLAN_KEYS, optional=(
         "truncation_source", *(key for key, _ in _AXIS_NAMES.values())))
     fixed = {axis: values.pop(key) for axis, (key, _) in _AXIS_NAMES.items() if key in values}
-    return from_config(SweepPlan, path, {"fixed": fixed, **values})
+    samples = values.pop("samples_per_point")
+    plan = from_config(SweepPlan, path, {"fixed": fixed, **values})
+    if samples != plan.samples_per_point:
+        raise ValidationError(f"{path}: samples_per_point must be {plan.samples_per_point} "
+                              f"when the largest batch is {plan.max_batch}, got {samples}")
+    return plan
 
 
 def grid_covered_by_plans(grid: BinGrid, plans: Iterable[SweepPlan]) -> bool:

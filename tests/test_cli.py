@@ -268,6 +268,65 @@ def test_estimate_report_missing_field_or_over_long_integer_is_a_data_error(fixt
     assert _one_error_line(capsys).startswith(f"error: {report}: not valid json (")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown-table"])
+def test_compare_percentages_that_are_not_finite_are_data_errors(fixture_paths, capsys, fmt):
+    d = fixture_paths["dir"]
+    empty = d / "empty.csv"
+    empty.write_text("# input_bins = 256\n# output_bins = 8\ninput_cap,output_cap,count\n",
+                     encoding="utf-8")
+    flags = ["--table", str(fixture_paths["table"]), "--backend", "vllm", "--device", "A100"]
+    estimates = _estimate_files(d, [("vllm", ["--trace", str(fixture_paths["trace"]), *flags]),
+                                    ("zero", ["--binned", str(empty), *flags, "--label", "zero"])])
+    capsys.readouterr()
+    # savings against a reference of 0 J
+    assert run("compare", "--estimates", estimates, "--baseline-j", "1.0",
+               "--reference", "zero", "--format", fmt) == 2
+    assert _one_error_line(capsys) == "error: entry 'vllm': its percentage of savings vs " \
+                                      "the reference 'zero' (0.0 J) is not finite\n"
+    # 6 J over a subnormal optimum
+    assert run("compare", "--estimates", str(d / "vllm.json"), "--baseline-j", "1e-320",
+               "--reference", "vllm", "--format", fmt) == 2
+    assert _one_error_line(capsys) == "error: entry 'vllm': its percentage over the " \
+                                      "optimal (1e-320 J) is not finite\n"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown-table"])
+def test_comparison_label_read_back_as_a_csv_comment_is_refused_in_every_format(
+        fixture_paths, capsys, fmt):
+    flags = ["--trace", str(fixture_paths["trace"]), "--table", str(fixture_paths["table"]),
+             "--backend", "vllm", "--device", "A100"]
+    estimates = _estimate_files(fixture_paths["dir"], [("a", flags),
+                                                       ("b", [*flags, "--label", "#b"])])
+    capsys.readouterr()
+    assert run("compare", "--estimates", estimates, "--baseline-j", "1.0",
+               "--reference", "vllm", "--format", fmt) == 2
+    assert _one_error_line(capsys) == "error: label '#b' would read back as a comment\n"
+    assert capsys.readouterr().out == ""
+
+
+def test_compare_without_estimate_files_is_a_data_error(capsys):
+    assert run("compare", "--estimates", ",", "--baseline-j", "1.0", "--reference", "a") == 2
+    assert _one_error_line(capsys) == "error: --estimates needs at least one file\n"
+
+
+def test_out_into_a_missing_directory_is_a_data_error(fixture_paths, capsys):
+    out = fixture_paths["dir"] / "missing" / "report.json"
+    assert run("stats", "--trace", str(fixture_paths["trace"]), "--out", str(out)) == 2
+    assert _one_error_line(capsys) == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [["stats", "--trace", "t.csv", "--forma", "csv"],
+                                  ["synth-table", "--model", "m", "--hw", "h", "--efficiency",
+                                   "1", "--decode-penalty", "2", "--kv-bytes", "3"]])
+def test_flag_prefixes_are_usage_errors(capsys, argv):
+    # a prefix would break a script once a second flag shared it
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
+
+
 def test_compare_rejects_non_estimate_json(fixture_paths, capsys):
     d = fixture_paths["dir"]
     (d / "junk.json").write_text('{"kind": "other"}', encoding="utf-8")

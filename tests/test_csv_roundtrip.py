@@ -9,6 +9,7 @@ break or leading or trailing whitespace, or a row's first field starts with
 
 import csv
 import io
+import math
 
 import pytest
 
@@ -116,9 +117,18 @@ def _rows(text: str) -> list[list[str]]:
 
 @given(st.lists(TEXT, min_size=1, max_size=4, unique=True), TEXT, st.data())
 def test_comparison_csv_rows_read_back(labels, dataset, data):
-    energies = [Energy(data.draw(JOULES)) for _ in labels]
-    c = compare(list(zip(labels, energies)), optimal=Energy(data.draw(JOULES)),
-                reference_label=labels[0], dataset=dataset)
+    energies = [data.draw(JOULES) for _ in labels]
+    optimal = data.draw(JOULES)
+    # a percentage beyond float range is refused, not written as inf
+    finite = all(math.isfinite(100.0 * (e - optimal) / optimal)
+                 and math.isfinite(100.0 * (1.0 - e / energies[0])) for e in energies)
+    try:
+        c = compare(list(zip(labels, map(Energy, energies))), optimal=Energy(optimal),
+                    reference_label=labels[0], dataset=dataset)
+    except ValidationError as exc:
+        assert not finite and str(exc).endswith(" is not finite")
+        return
+    assert finite
     writable = all(map(_writable, [dataset, *labels])) and not any(
         label.startswith("#") for label in labels)
     try:

@@ -220,8 +220,8 @@ def test_stats_are_exact_at_the_int64_sum_bound(top):
     assert Fraction(below) ** 2 <= var <= Fraction(above) ** 2
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7])
-def test_jsonl_columns_do_not_depend_on_flush_size(tmp_path, rows):
+@pytest.mark.parametrize("chunk_chars", [1, 2, 100])
+def test_jsonl_columns_do_not_depend_on_block_size(tmp_path, chunk_chars):
     lines = []
     for k in range(40):
         lines.append(json.dumps({"input_tokens": k * 31, "output_tokens": k % 5}))
@@ -232,12 +232,32 @@ def test_jsonl_columns_do_not_depend_on_flush_size(tmp_path, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     source = TraceSource(path=str(path), format="jsonl")
     want = load_trace(source, permissive=True)
-    with mock.patch.object(ingest, "_JSONL_ROWS", rows):
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
         got = load_trace(source, permissive=True)
     assert got.requests.inputs.tolist() == want.requests.inputs.tolist()
     assert got.requests.outputs.tolist() == want.requests.outputs.tolist()
     assert got.malformed == want.malformed
     assert len(want.requests) == 40 and len(want.malformed) == 6
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 5, 40, 1 << 19])
+@pytest.mark.parametrize("ends", [["\n"], ["\r"], ["\r\n"], ["\r\n", "\n", "\r"]])
+def test_jsonl_line_numbers_across_line_ends_and_block_sizes(tmp_path, chunk_chars, ends):
+    # blank lines (one a lone `\r` line under `\n` ends), malformed rows
+    # and no line end after the last row; the mixed ends never put a `\r`
+    # end before a blank line's `\n`, which would read as one `\r\n`
+    lines = ['{"input_tokens": 1, "output_tokens": 2}', "", "{", "  ",
+             '{"input_tokens": 3, "output_tokens": 4}', "\r" if ends == ["\n"] else "",
+             "[1]", '{"input_tokens": 5}', '{"input_tokens": 5, "output_tokens": 6}']
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines[:-1])) + lines[-1]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
+    assert load.requests.inputs.tolist() == [1, 3, 5]
+    assert load.requests.outputs.tolist() == [2, 4, 6]
+    assert [e.line for e in load.malformed] == [3, 7, 8]
+    assert "missing member 'output_tokens'" in load.malformed[2].message
 
 
 def test_summarize_trace():

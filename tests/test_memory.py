@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tokenwatt import DEFAULT_GRID, TraceSource, bin_arrays, compute_stats, load_trace
+from tokenwatt import DEFAULT_GRID, Request, TraceSource, bin_arrays, compute_stats, load_trace
 from tokenwatt import binning, ingest
+from tokenwatt.core import RequestColumns
 
 
 def _traced_peak(call) -> int:
@@ -68,3 +69,13 @@ def test_loading_allocates_the_columns_and_one_block(tmp_path, columns):
     # character; joining per-block parts at the end would take 1.5 columns
     # on its own, and keeping every line string for a while far more
     assert peak <= 1.25 * column_bytes + 8 * ingest._CHUNK_CHARS
+
+
+def test_slicing_trace_columns_builds_only_the_slice(columns):
+    cols = RequestColumns(*columns)
+    got = []
+    # building every Request of the trace first takes about 200 bytes a row
+    assert _traced_peak(lambda: got.append(cols[2:5])) <= 4096
+    assert got[0] == [Request(int(columns[0][k]), int(columns[1][k])) for k in (2, 3, 4)]
+    assert cols[::-200_000] == [Request(int(columns[0][k]), int(columns[1][k]))
+                                for k in (399_999, 199_999)]

@@ -65,25 +65,25 @@ def test_plan_determinism():
 def test_plan_validation():
     with pytest.raises(ValidationError, match="powers of two"):
         SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
-                  points=(3, 5), samples_per_point=1024)
+                  points=(3, 5))
     with pytest.raises(ValidationError, match="increasing"):
         SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
-                  points=(8, 8), samples_per_point=1024)
+                  points=(8, 8))
     with pytest.raises(ValidationError, match="axis"):
-        SweepPlan(axis="temperature", fixed={}, points=(1,), samples_per_point=1024)
+        SweepPlan(axis="temperature", fixed={}, points=(1,))
     with pytest.raises(ValidationError, match="pin exactly"):
         SweepPlan(axis="input_length", fixed={"output_length": 64},
-                  points=(32,), samples_per_point=1024)
+                  points=(32,))
 
 
 def test_plan_samples_follow_batch_threshold():
     # batch beyond 256 requires the normalized 4096-sample protocol
-    with pytest.raises(ValidationError, match="4096"):
-        SweepPlan(axis="batch_size", fixed={"input_length": 512, "output_length": 64},
-                  points=(1, 2, 512), samples_per_point=1024)
-    with pytest.raises(ValidationError, match="1024"):
-        SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
-                  points=(32, 64), samples_per_point=4096)
+    assert SweepPlan(axis="batch_size", fixed={"input_length": 512, "output_length": 64},
+                     points=(1, 2, 512)).samples_per_point == 4096
+    assert SweepPlan(axis="batch_size", fixed={"input_length": 512, "output_length": 64},
+                     points=(1, 2, 256)).samples_per_point == 1024
+    assert SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
+                     points=(32, 64)).samples_per_point == 1024
 
 
 def test_plan_file_roundtrip(tmp_path):
@@ -93,7 +93,7 @@ def test_plan_file_roundtrip(tmp_path):
     for path, plan in zip(paths, plans):
         assert read_plan(path) == plan
     marked = SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
-                       points=(32, 64), samples_per_point=1024, truncation_source="PG19 #2")
+                       points=(32, 64), truncation_source="PG19 #2")
     [path] = write_plans([marked], tmp_path / "marked")
     assert read_plan(path) == marked
 
@@ -113,7 +113,7 @@ def test_plan_text_round_trips_or_is_refused_on_write(tmp_path):
     @hypothesis.example("")
     def check(source):
         plan = SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
-                         points=(32, 64), samples_per_point=1024, truncation_source=source)
+                         points=(32, 64), truncation_source=source)
         try:
             [path] = write_plans([plan], out)
         except ValidationError as exc:
@@ -156,6 +156,8 @@ def test_grid_flag_grid_comments_and_plan_points_read_the_same_caps(tmp_path, ca
      "samples_per_point must be an integer, got 'many'"),
     (PLAN_HEAD + "points = 32\nsamples_per_point = 7\nwarmup_batches = 20\n",
      "samples_per_point must be 1024 when the largest batch is 1, got 7"),
+    ("axis = batch_size\nfixed_input = 512\nfixed_output = 64\npoints = 1,512\n" + PLAN_TAIL,
+     "samples_per_point must be 4096 when the largest batch is 512, got 1024"),
     ("axis = input_length\nfixed_output = 64\npoints = 32\n" + PLAN_TAIL,
      "fixed must pin exactly ['batch_size', 'output_length'], got ['output_length']"),
 ])
