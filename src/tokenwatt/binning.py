@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from ._frozen import factory, frozen
 from .core import Bin, BinGrid, Request, RequestColumns, ValidationError, parse_int, parse_value
 from .csvio import format_csv, grid_meta, read_csv, write_csv
 
@@ -42,12 +42,12 @@ def map_to_bin(request: Request, grid: BinGrid) -> Union[Bin, Overflow]:
     return Bin(i_cap, o_cap)
 
 
-@dataclass(frozen=True)
+@frozen
 class BinnedWorkload:
     """Histogram of request counts per bin, plus out-of-range tallies."""
 
     grid: BinGrid
-    counts: dict[Bin, int] = field(default_factory=dict)
+    counts: dict[Bin, int] = factory(dict)
     excluded_input: int = 0
     excluded_output: int = 0
 

@@ -67,6 +67,12 @@ def parse_grid(spec: str | None) -> BinGrid:
     return BinGrid(*caps)
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse a file-valued --out that cannot be written, before any input is read."""
+    if out is not None and out != "-" and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ValidationError(f"--out {out}: not a file in an existing directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -226,8 +232,8 @@ def cmd_compare(args) -> int:
 
 def cmd_plan_sweep(args) -> int:
     plans = default_sweep_plans()
-    if args.out is not None:
-        for path in write_plans(plans, args.out):
+    if args.out_dir is not None:
+        for path in write_plans(plans, args.out_dir):
             sys.stdout.write(f"{path}\n")
         return EXIT_OK
     chunks = [f"# file: {plan.filename}\n{format_plan(plan)}" for plan in plans]
@@ -353,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("plan-sweep", help="emit benchmark sweep plans")
-    p.add_argument("--out", metavar="DIR", help="write one .cfg per plan into this directory")
+    p.add_argument("--out", dest="out_dir", metavar="DIR",
+                   help="write one .cfg per plan into this directory")
     p.set_defaults(func=cmd_plan_sweep)
 
     p = sub.add_parser("validate-table", help="check a table against the planned sweep points")
@@ -385,6 +392,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -13,9 +13,10 @@ import operator
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, TextIO
+
+from ._frozen import frozen
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -32,7 +33,7 @@ class ValidationError(ValueError):
     """Data or contract violation; mapped to exit code 2 by the CLI."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Request:
     """One inference call: prompt length and generation length, in tokens."""
 
@@ -100,21 +101,55 @@ class RequestColumns(Sequence):
         return NotImplemented
 
 
-@dataclass(frozen=True, order=True)
+@frozen
 class Bin:
-    """A cell of the bin grid: the (input_cap, output_cap) a request rounds up to."""
+    """A cell of the bin grid: the (input_cap, output_cap) a request rounds up
+    to. Bins order by input_cap, then output_cap."""
 
     input_cap: int
     output_cap: int
 
-    def __post_init__(self) -> None:
-        if self.input_cap <= 0 or self.output_cap <= 0:
-            raise ValidationError(
-                f"bin caps must be positive, got ({self.input_cap}, {self.output_cap})"
-            )
+    # A run makes thousands of bins and energies. With one or two fields,
+    # the general __init__ of `frozen` would cost more per instance than
+    # this one, which binds its arguments as any function does.
+    def __init__(self, input_cap: int, output_cap: int) -> None:
+        if input_cap <= 0 or output_cap <= 0:
+            raise ValidationError(f"bin caps must be positive, got ({input_cap}, {output_cap})")
+        object.__setattr__(self, "input_cap", input_cap)
+        object.__setattr__(self, "output_cap", output_cap)
+
+    # Bins are also hashed, compared and sorted thousands of times a run, so
+    # these read the two caps directly, as a dataclass's methods would.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Bin:
+            return NotImplemented
+        return (self.input_cap, self.output_cap) == (other.input_cap, other.output_cap)
+
+    def __hash__(self) -> int:
+        return hash((self.input_cap, self.output_cap))
+
+    def __lt__(self, other: Bin) -> bool:
+        if other.__class__ is not Bin:
+            return NotImplemented
+        return (self.input_cap, self.output_cap) < (other.input_cap, other.output_cap)
+
+    def __le__(self, other: Bin) -> bool:
+        if other.__class__ is not Bin:
+            return NotImplemented
+        return (self.input_cap, self.output_cap) <= (other.input_cap, other.output_cap)
+
+    def __gt__(self, other: Bin) -> bool:
+        if other.__class__ is not Bin:
+            return NotImplemented
+        return (self.input_cap, self.output_cap) > (other.input_cap, other.output_cap)
+
+    def __ge__(self, other: Bin) -> bool:
+        if other.__class__ is not Bin:
+            return NotImplemented
+        return (self.input_cap, self.output_cap) >= (other.input_cap, other.output_cap)
 
 
-@dataclass(frozen=True)
+@frozen
 class BinGrid:
     """The discrete lattice of input/output token caps."""
 
@@ -151,7 +186,7 @@ class BinGrid:
 DEFAULT_GRID = BinGrid()
 
 
-@dataclass(frozen=True)
+@frozen
 class HardwareSpec:
     """Accelerator nameplate figures used for the idealized baseline."""
 
@@ -171,7 +206,7 @@ class HardwareSpec:
             path, "hardware", {"name": str, "tdp": parse_finite, "peak_flops": parse_finite}))
 
 
-@dataclass(frozen=True)
+@frozen
 class ModelConfig:
     """Dense decoder-only architecture shape.
 
@@ -248,15 +283,16 @@ def derive_param_count(config: ModelConfig) -> int:
     return embeddings + config.n_layers * (attn + ffn) + head
 
 
-@dataclass(frozen=True)
+@frozen
 class Energy:
     """Finite, nonnegative energy amount; canonical unit is joules."""
 
     joules: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.joules < math.inf:
-            raise ValidationError(f"energy must be finite and nonnegative, got {self.joules} J")
+    def __init__(self, joules: float) -> None:  # made as often as bins: see Bin.__init__
+        if not 0 <= joules < math.inf:
+            raise ValidationError(f"energy must be finite and nonnegative, got {joules} J")
+        object.__setattr__(self, "joules", joules)
 
 
 def joules_or_none(energy: Optional[Energy]) -> Optional[float]:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+from ._frozen import frozen
 from .core import (BinGrid, ValidationError, check_value, format_caps, open_text, parse_caps,
                    parse_int, parse_value)
 
@@ -55,7 +55,7 @@ def write_csv(path_or_buf, text: str) -> None:
         Path(path_or_buf).write_text(text, encoding="utf-8")
 
 
-@dataclass(frozen=True)
+@frozen
 class CsvFile:
     """A parsed file: its comment values and its converted data rows."""
 

@@ -9,9 +9,9 @@ through untouched; they are never charged energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._frozen import frozen
 from .binning import BinnedWorkload
 from .core import Bin, Energy, ValidationError
 from .tables import MeasurementTable, lookup
@@ -32,7 +32,7 @@ def _total(energies: Iterable[Optional[Energy]]) -> Optional[Energy]:
     return Energy(joules)
 
 
-@dataclass(frozen=True)
+@frozen
 class BinEstimate:
     bin: Bin
     count: int
@@ -44,7 +44,7 @@ class BinEstimate:
     provenance: str
 
 
-@dataclass(frozen=True)
+@frozen
 class WorkloadEstimate:
     per_bin: tuple[BinEstimate, ...]
     excluded_requests: int

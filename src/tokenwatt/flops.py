@@ -9,13 +9,12 @@ realistic d_ff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import frozen
 from .binning import BinnedWorkload
 from .core import Energy, HardwareSpec, ModelConfig, ValidationError
 
 
-@dataclass(frozen=True)
+@frozen
 class FlopsBreakdown:
     """Forward-pass FLOPs split into the parallel prompt pass and generation."""
 

@@ -36,12 +36,12 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress
 from operator import mul, not_
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from ._frozen import factory, frozen
 from .core import INT64_MAX, Request, RequestColumns, ValidationError, open_text
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
@@ -53,14 +53,14 @@ _STATS_SLICE = 1 << 13
 _STATS_INT64_BOUND = 1 << 25
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceSource:
     """Where a trace lives and how its columns map to token fields."""
 
     path: str
     format: str  # one of TRACE_FORMATS
-    column_map: dict[str, str] = field(
-        default_factory=lambda: {"input_tokens": "input_tokens", "output_tokens": "output_tokens"}
+    column_map: dict[str, str] = factory(
+        lambda: {"input_tokens": "input_tokens", "output_tokens": "output_tokens"}
     )
 
     def __post_init__(self) -> None:
@@ -73,13 +73,13 @@ class TraceSource:
             raise ValidationError(f"column_map missing fields: {', '.join(sorted(missing))}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RowError:
     line: int
     message: str
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceLoad:
     """Result of parsing a trace: requests in file order plus skipped rows."""
 
@@ -91,7 +91,7 @@ class TraceLoad:
         return len(self.malformed)
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceStats:
     """Distribution summary of one token-length column."""
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
+from ._frozen import frozen
 from .core import J_PER_KWH, Energy, ValidationError, check_value, joules_or_none
 from .csvio import format_csv
 from .estimator import WorkloadEstimate
@@ -27,7 +27,7 @@ SCHEMA_VERSION = "1"
 REPORT_FORMATS = ("json", "csv", "markdown-table")
 
 
-@dataclass(frozen=True)
+@frozen
 class ComparisonEntry:
     label: str
     energy: Energy
@@ -35,7 +35,7 @@ class ComparisonEntry:
     savings_vs_reference: Optional[float]  # None on the reference row
 
 
-@dataclass(frozen=True)
+@frozen
 class Comparison:
     dataset: str
     baseline: Energy  # idealized optimal for the same workload
@@ -45,7 +45,7 @@ class Comparison:
     excluded_requests: int
 
 
-@dataclass(frozen=True)
+@frozen
 class BaselineReport:
     """Idealized lower-bound energy for a workload, with its FLOPs ledger."""
 
@@ -62,7 +62,7 @@ class BaselineReport:
         return self.prefill_flops + self.decode_flops
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceReport:
     """Distribution summary of a trace's input and output token counts."""
 

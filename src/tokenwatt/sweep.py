@@ -7,10 +7,10 @@ measured grid aligned with the estimator's bin grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from ._frozen import factory, frozen
 from .core import (
     BinGrid,
     ValidationError,
@@ -41,7 +41,7 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepPlan:
     axis: str
     fixed: dict[str, int]
@@ -201,12 +201,12 @@ def grid_covered_by_plans(grid: BinGrid, plans: Iterable[SweepPlan]) -> bool:
             and set(grid.output_bins) <= {o for _, o in pairs})
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverageReport:
     """Which planned on-grid points each (backend, device) has measured."""
 
     planned_points: tuple[tuple[int, int], ...]
-    missing: dict[tuple[str, str], tuple[tuple[int, int], ...]] = field(default_factory=dict)
+    missing: dict[tuple[str, str], tuple[tuple[int, int], ...]] = factory(dict)
 
     @property
     def full_coverage(self) -> bool:

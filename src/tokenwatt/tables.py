@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._frozen import frozen
 from .core import (
     Bin,
     BinGrid,
@@ -56,7 +56,7 @@ MEASURED = "measured"
 INTERPOLATED = "interpolated"
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasurementRecord:
     """One measured cell: energy for a full batch of max_batch requests."""
 
@@ -108,9 +108,10 @@ def _new_record(backend: str, device: str, input_cap: int, output_cap: int, max_
                 decode_energy: Optional[Energy], samples_measured: int, warmup_batches: int,
                 provenance: str) -> MeasurementRecord:
     """The MeasurementRecord of these fields, checked as __init__ checks it.
-    The __init__ of a frozen dataclass sets each field through
-    object.__setattr__, which takes about twice as long as setting them in
-    one step as this does; a table load makes one record per row."""
+    A table load makes one record per row. Calling the class passes the
+    eleven values as a tuple to the general __init__ of `frozen`, which took
+    about 1.4 us a record against 0.9 us here (minima in one process,
+    CPython 3.11 on a 2-CPU Linux host)."""
     rec = object.__new__(MeasurementRecord)
     rec.__dict__.update(
         backend=backend, device=device, input_cap=input_cap, output_cap=output_cap,
@@ -122,7 +123,7 @@ def _new_record(backend: str, device: str, input_cap: int, output_cap: int, max_
     return rec
 
 
-@dataclass(frozen=True)
+@frozen
 class TableMetadata:
     """Measurement-protocol context carried with a table, not enforced by it."""
 
@@ -153,11 +154,11 @@ class _Configuration:
         return logs
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasurementTable:
     records: tuple[MeasurementRecord, ...]
     metadata: TableMetadata
-    _configurations: dict = field(init=False, repr=False, compare=False)
+    _configurations: dict[tuple[str, str], _Configuration]
 
     def __post_init__(self) -> None:
         grid = self.metadata.grid

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -313,8 +314,20 @@ def test_compare_without_estimate_files_is_a_data_error(capsys):
 def test_out_into_a_missing_directory_is_a_data_error(fixture_paths, capsys):
     out = fixture_paths["dir"] / "missing" / "report.json"
     assert run("stats", "--trace", str(fixture_paths["trace"]), "--out", str(out)) == 2
-    assert _one_error_line(capsys) == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert _one_error_line(capsys) == f"error: --out {out}: not a file in an existing directory\n"
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", [["stats"], ["bin"],
+                                     ["estimate", "--table", "t.csv", "--backend", "b",
+                                      "--device", "d"]])
+@pytest.mark.parametrize("out", ["missing/report", "."])
+def test_out_is_checked_before_any_input_is_read(tmp_path, capsys, command, out):
+    # the trace does not exist either, so an error naming --out shows the order
+    assert run(*command, "--trace", str(tmp_path / "absent.csv"),
+               "--out", str(tmp_path / out)) == 2
+    assert _one_error_line(capsys) == (
+        f"error: --out {tmp_path / out}: not a file in an existing directory\n")
 
 
 @pytest.mark.parametrize("argv", [["stats", "--trace", "t.csv", "--forma", "csv"],
@@ -763,6 +776,16 @@ def test_commands_that_read_no_trace_never_import_numpy(fixture_paths):
         ["plan-sweep", "--out", str(d / "plans")],
     )
     assert _loads_numpy(["stats", "--trace", paths["trace"]])
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect_nor_numpy():
+    src = str(Path(tokenwatt.__file__).resolve().parent.parent)
+    probe = ("import tokenwatt.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect', 'numpy'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_arbitrary_trace_bytes_exit_0_or_2(tmp_path, capsys):
