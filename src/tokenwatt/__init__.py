@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 
 from .binning import (
     BinnedWorkload,
-    Overflow,
     bin_arrays,
     bin_workload,
-    map_to_bin,
     read_binned_csv,
     write_binned_csv,
 )
@@ -27,7 +25,7 @@ from .core import (
     J_PER_KWH,
     J_PER_WH,
     ModelConfig,
-    Request,
+    RequestColumns,
     ValidationError,
     derive_param_count,
 )
@@ -82,10 +80,10 @@ from .tables import (
 __all__ = [
     "__version__",
     "Bin", "BinGrid", "DEFAULT_GRID", "DEFAULT_INPUT_BINS", "DEFAULT_OUTPUT_BINS",
-    "Energy", "HardwareSpec", "J_PER_KWH", "J_PER_WH", "ModelConfig", "Request",
+    "Energy", "HardwareSpec", "J_PER_KWH", "J_PER_WH", "ModelConfig", "RequestColumns",
     "ValidationError", "derive_param_count",
-    "BinnedWorkload", "Overflow", "bin_arrays", "bin_workload", "map_to_bin",
-    "read_binned_csv", "write_binned_csv",
+    "BinnedWorkload", "bin_arrays", "bin_workload", "read_binned_csv",
+    "write_binned_csv",
     "BinEstimate", "ESTIMATE_MODES", "WorkloadEstimate", "estimate",
     "FlopsBreakdown", "idealized_energy", "joules_per_flop", "request_flops",
     "workload_flops",

@@ -1,5 +1,9 @@
 """Ceiling-bin mapping of request traces onto the (input_cap, output_cap) grid.
 
+Each request maps to the smallest cap at or above its token count in each
+dimension; zero-length inputs and outputs map to the smallest bin (real
+traces contain empty prompts and 1-token generations).
+
 Requests longer than the largest cap in either dimension are excluded from
 the histogram and tallied separately so under-coverage stays visible in
 downstream reports.
@@ -7,39 +11,11 @@ downstream reports.
 
 from __future__ import annotations
 
-import enum
-from bisect import bisect_left
-from typing import Iterable, Union
-
 from ._frozen import factory, frozen
-from .core import Bin, BinGrid, Request, RequestColumns, ValidationError, parse_int, parse_value
+from .core import Bin, BinGrid, RequestColumns, ValidationError, parse_int, parse_value
 from .csvio import format_csv, grid_meta, read_csv, write_csv
 
 _BIN_SLICE = 1 << 16
-
-
-class Overflow(enum.Enum):
-    """Which dimension pushed a request off the grid."""
-
-    INPUT = "input"
-    OUTPUT = "output"
-
-
-def map_to_bin(request: Request, grid: BinGrid) -> Union[Bin, Overflow]:
-    """Smallest grid bin covering the request in both dimensions.
-
-    Returns an Overflow marker for requests beyond the largest cap; a request
-    over both limits reports Overflow.INPUT. Zero-length inputs and outputs
-    map to the smallest bin (real traces contain empty prompts and 1-token
-    generations).
-    """
-    if request.input_tokens > grid.max_input:
-        return Overflow.INPUT
-    if request.output_tokens > grid.max_output:
-        return Overflow.OUTPUT
-    i_cap = grid.input_bins[bisect_left(grid.input_bins, request.input_tokens)]
-    o_cap = grid.output_bins[bisect_left(grid.output_bins, request.output_tokens)]
-    return Bin(i_cap, o_cap)
 
 
 @frozen
@@ -93,30 +69,23 @@ class BinnedWorkload:
 
 
 def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> BinnedWorkload:
-    """Bin parallel arrays of input/output token counts (the hot path),
-    vectorized over slices of _BIN_SLICE rows so that the temporaries stay
-    small however long the trace is; the slices' bin counts and exclusion
-    tallies are summed. A request over both limits is tallied once, under
-    excluded_input.
+    """Bin parallel columns of input/output token counts (the hot path),
+    checked as RequestColumns checks them, vectorized over slices of
+    _BIN_SLICE rows so that the temporaries stay small however long the
+    trace is; the slices' bin counts and exclusion tallies are summed. A
+    request over both limits is tallied once, under excluded_input.
     """
     import numpy as np
 
-    inputs = np.asarray(inputs, dtype=np.int64)
-    outputs = np.asarray(outputs, dtype=np.int64)
-    if inputs.shape != outputs.shape:
-        raise ValidationError(
-            f"inputs and outputs must have equal length, got {inputs.shape} and {outputs.shape}"
-        )
-    if inputs.size and (inputs.min() < 0 or outputs.min() < 0):
-        raise ValidationError("token counts must be nonnegative")
+    columns = RequestColumns(inputs, outputs)
     input_bins = np.asarray(grid.input_bins, dtype=np.int64)
     output_bins = np.asarray(grid.output_bins, dtype=np.int64)
     n_out = len(grid.output_bins)
     flat = np.zeros(len(grid.input_bins) * n_out, dtype=np.int64)
     excluded_input = excluded_output = 0
-    for start in range(0, len(inputs), _BIN_SLICE):
-        ins = inputs[start:start + _BIN_SLICE]
-        outs = outputs[start:start + _BIN_SLICE]
+    for start in range(0, len(columns), _BIN_SLICE):
+        ins = columns.inputs[start:start + _BIN_SLICE]
+        outs = columns.outputs[start:start + _BIN_SLICE]
         over_in = ins > input_bins[-1]
         over_out = ~over_in & (outs > output_bins[-1])
         ok = ~(over_in | over_out)
@@ -131,9 +100,8 @@ def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> Binned
                           excluded_output=excluded_output)
 
 
-def bin_workload(requests: Iterable[Request], grid: BinGrid | None = None) -> BinnedWorkload:
-    """Histogram a request trace over the grid (default grid if omitted)."""
-    columns = RequestColumns.of(requests)
+def bin_workload(columns: RequestColumns, grid: BinGrid | None = None) -> BinnedWorkload:
+    """Histogram a trace's token columns over the grid (default grid if omitted)."""
     return bin_arrays(columns.inputs, columns.outputs, grid or BinGrid())
 
 

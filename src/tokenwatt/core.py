@@ -1,6 +1,7 @@
-"""Shared domain types: requests, bin grids, hardware/model configs, energy units.
+"""Shared domain types: token columns, bin grids, hardware/model configs, energy units.
 
-Everything here is an immutable value type, safe to share across workers.
+Everything here but the token columns is an immutable value type, safe to
+share across workers.
 All internal energy arithmetic is in joules; kWh/Wh conversions happen only
 at file and CLI boundaries.
 """
@@ -9,9 +10,8 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Optional, TextIO
@@ -33,72 +33,52 @@ class ValidationError(ValueError):
     """Data or contract violation; mapped to exit code 2 by the CLI."""
 
 
-@frozen
-class Request:
-    """One inference call: prompt length and generation length, in tokens."""
+def token_column(values: Any, name: str) -> np.ndarray:
+    """`values`, an array or a sequence of token counts, as a 1-D int64 array.
 
-    input_tokens: int
-    output_tokens: int
+    Nothing is truncated or wrapped: a column that is not 1-D, values that
+    are not integers (a float, bool, string or object array, or a bool in a
+    sequence) and values outside 0..INT64_MAX are data errors. An empty
+    column of any dtype is an empty int64 column, and an int64 array comes
+    back as itself after one `min` pass. numpy is imported here, not at
+    module level, so the commands that read no trace never load it.
+    """
+    import numpy as np
 
-    def __post_init__(self) -> None:
-        # operator.index takes Python and numpy integers and refuses floats;
-        # bool is an int subclass and is refused by name
-        i, o = self.input_tokens, self.output_tokens
-        try:
-            ok = (type(i) is not bool and type(o) is not bool
-                  and 0 <= operator.index(i) <= INT64_MAX and 0 <= operator.index(o) <= INT64_MAX)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValidationError(
-                f"token counts must be nonnegative integers within int64, got ({i!r}, {o!r})"
-            )
+    column = np.asarray(values)
+    if column.ndim != 1:
+        raise ValidationError(f"{name} must be a 1-D int64 column, got shape {column.shape}")
+    if not column.size:
+        return column.astype(np.int64)
+    dtype = column.dtype
+    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        dtype = np.dtype(bool)  # numpy reads [1, True] as int64
+    if dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be integers within int64, got dtype {dtype}")
+    extreme = column.max() if dtype.kind == "u" else column.min()
+    if not 0 <= extreme <= INT64_MAX:
+        raise ValidationError(f"{name} must be nonnegative integers within int64, got {extreme}")
+    return column.astype(np.int64, copy=False)
 
 
-class RequestColumns(Sequence):
-    """Read-only sequence of Requests stored as two int64 token columns.
+class RequestColumns:
+    """A trace: the input and output token counts of its requests, in file
+    order, as two int64 columns of equal length (16 bytes per request).
 
-    A loaded trace costs 16 bytes per request; indexing or iterating builds
-    Requests on demand, while binning and statistics read `inputs` and
-    `outputs` directly. numpy is imported here, not at module level, so the
-    commands that read no trace never load it.
+    Both columns are checked by token_column; binning and statistics read
+    `inputs` and `outputs` directly.
     """
 
     __slots__ = ("inputs", "outputs")
 
-    def __init__(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
-        import numpy as np
-
-        self.inputs = np.asarray(inputs, dtype=np.int64)
-        self.outputs = np.asarray(outputs, dtype=np.int64)
-
-    @classmethod
-    def of(cls, requests: Iterable[Request]) -> "RequestColumns":
-        """The columns of `requests`, built unless it already is a RequestColumns."""
-        if isinstance(requests, RequestColumns):
-            return requests
-        import numpy as np
-
-        reqs = requests if isinstance(requests, Sequence) else list(requests)
-        n = len(reqs)
-        return cls(np.fromiter((r.input_tokens for r in reqs), dtype=np.int64, count=n),
-                   np.fromiter((r.output_tokens for r in reqs), dtype=np.int64, count=n))
+    def __init__(self, inputs: Any, outputs: Any) -> None:
+        self.inputs = token_column(inputs, "input tokens")
+        self.outputs = token_column(outputs, "output tokens")
+        if len(self.inputs) != len(self.outputs):
+            raise ValidationError(f"unequal token columns: {len(self)} and {len(self.outputs)} rows")
 
     def __len__(self) -> int:
         return len(self.inputs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(RequestColumns(self.inputs[index], self.outputs[index]))
-        return Request(int(self.inputs[index]), int(self.outputs[index]))
-
-    def __iter__(self):
-        return map(Request, self.inputs.tolist(), self.outputs.tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
 
 
 @frozen

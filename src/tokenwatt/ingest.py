@@ -39,10 +39,10 @@ import warnings
 from functools import partial
 from itertools import chain, compress
 from operator import mul, not_
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from ._frozen import factory, frozen
-from .core import INT64_MAX, Request, RequestColumns, ValidationError, open_text
+from .core import INT64_MAX, RequestColumns, ValidationError, open_text, token_column
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
 
@@ -81,7 +81,8 @@ class RowError:
 
 @frozen
 class TraceLoad:
-    """Result of parsing a trace: requests in file order plus skipped rows."""
+    """Result of parsing a trace: the token columns of its requests, in file
+    order, plus the rows skipped as malformed."""
 
     requests: RequestColumns
     malformed: list[RowError]
@@ -105,7 +106,7 @@ class TraceStats:
 
 def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
     """Parse a trace file (read by core.open_text, so `-` is stdin) into
-    token columns, viewed as Requests.
+    its two int64 token columns.
 
     Raises on any malformed row unless `permissive`, in which case bad rows
     are skipped and returned in .malformed. Row order is preserved.
@@ -358,8 +359,8 @@ def _parse_jsonl_block(column_map: dict[str, str], malformed: list[RowError], bl
     return np.array([inputs, outputs], dtype=np.int64).T, len(lines)
 
 
-def compute_stats(values: Iterable[int]) -> TraceStats:
-    """Summarize a nonnegative integer sequence.
+def compute_stats(values: Sequence[int] | np.ndarray) -> TraceStats:
+    """Summarize a column of token counts, checked by core.token_column.
 
     Median uses the lower middle element for even counts and p99 is the
     nearest-rank (no interpolation) percentile, so both stay integers for
@@ -373,13 +374,10 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
     """
     import numpy as np
 
-    arr = np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values))
-    if arr.size == 0:
+    ordered = np.sort(token_column(values, "token counts"))
+    n = len(ordered)
+    if n == 0:
         raise ValidationError("cannot compute statistics of an empty sequence")
-    if arr.min() < 0:
-        raise ValidationError("token counts must be nonnegative")
-    ordered = np.sort(arr.astype(np.int64, copy=False))
-    n = int(arr.size)
     total = squares = 0
     for start in range(0, n, _STATS_SLICE):
         part = ordered[start:start + _STATS_SLICE]
@@ -402,9 +400,8 @@ def compute_stats(values: Iterable[int]) -> TraceStats:
     )
 
 
-def summarize_trace(requests: Sequence[Request]) -> tuple[TraceStats, TraceStats]:
+def summarize_trace(columns: RequestColumns) -> tuple[TraceStats, TraceStats]:
     """Independent input-column and output-column statistics for a trace."""
-    if not requests:
+    if not columns:
         raise ValidationError("cannot summarize an empty trace")
-    columns = RequestColumns.of(requests)
     return compute_stats(columns.inputs), compute_stats(columns.outputs)

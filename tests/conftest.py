@@ -34,6 +34,11 @@ TOY_MODEL_CFG = (
 A100_CFG = "name = A100-PCIe\ntdp = 300\npeak_flops = 309.7e12\n"
 
 
+def token_pairs(columns):
+    """The (input, output) token counts of a trace's columns, row by row."""
+    return list(zip(columns.inputs.tolist(), columns.outputs.tolist()))
+
+
 @pytest.fixture
 def toy_model():
     return ModelConfig(n_layers=1, d_model=4, n_heads=1, n_kv_heads=1,

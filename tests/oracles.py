@@ -11,7 +11,11 @@ import csv
 import io
 import math
 
-from tokenwatt import Bin, Energy, MeasurementRecord, ModelConfig, Overflow, ValidationError
+from tokenwatt import Bin, Energy, MeasurementRecord, ModelConfig, ValidationError
+
+# What oracle_map_to_bin gives for a request beyond the largest cap of a dimension
+INPUT_OVERFLOW = "input overflow"
+OUTPUT_OVERFLOW = "output overflow"
 
 
 def brute_force_flops(model: ModelConfig, input_len: int, output_len: int) -> tuple[int, int]:
@@ -60,11 +64,12 @@ def brute_force_flops(model: ModelConfig, input_len: int, output_len: int) -> tu
 
 
 def oracle_map_to_bin(input_tokens: int, output_tokens: int, grid):
-    """Minimal-ceiling bin by linear scan over all caps."""
+    """Minimal-ceiling bin by linear scan over all caps; a request over both
+    limits is an input overflow."""
     if input_tokens > max(grid.input_bins):
-        return Overflow.INPUT
+        return INPUT_OVERFLOW
     if output_tokens > max(grid.output_bins):
-        return Overflow.OUTPUT
+        return OUTPUT_OVERFLOW
     input_cap = min(c for c in grid.input_bins if c >= input_tokens)
     output_cap = min(c for c in grid.output_bins if c >= output_tokens)
     return Bin(input_cap, output_cap)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,10 @@ from tokenwatt import (
     MeasurementRecord,
     MeasurementTable,
     ModelConfig,
-    Overflow,
-    Request,
+    RequestColumns,
     TableMetadata,
     TraceSource,
+    bin_arrays,
     bin_workload,
     compare,
     compute_stats,
@@ -38,7 +39,6 @@ from tokenwatt import (
     idealized_energy,
     joules_per_flop,
     load_trace,
-    map_to_bin,
     default_sweep_plans,
     request_flops,
     summarize_trace,
@@ -95,20 +95,32 @@ def _criterion_3():
     output_cap = [
         min((c for c in grid.output_bins if c >= o), default=None) for o in range(561)
     ]
+
+    def oracle(in_caps, out_caps):
+        # the histogram of every (input, output) pair, from how many values
+        # of each dimension have each cap (None: over the grid)
+        in_caps, out_caps = Counter(in_caps), Counter(out_caps)
+        excluded_input = in_caps.pop(None, 0) * out_caps.total()
+        excluded_output = out_caps.pop(None, 0) * in_caps.total()
+        counts = {Bin(i, o): m * n for i, m in in_caps.items() for o, n in out_caps.items()}
+        return counts, excluded_input, excluded_output
+
+    # bin_arrays tallies a histogram, so each request of the lattice is binned
+    # twice, with the rest of its input value's row and with the rest of its
+    # output value's column. A request mapped wrong changes the tallies of
+    # both; only mistakes that cancel in every row and column could hide.
+    inputs, outputs = np.arange(8301), np.arange(561)
+    in_counts, out_counts = Counter(input_cap), Counter(output_cap)
     disagreements = 0
-    for i in range(8301):
-        want_input = input_cap[i]
-        for o in range(561):
-            got = map_to_bin(Request(i, o), grid)
-            if want_input is None:
-                want = Overflow.INPUT
-            elif output_cap[o] is None:
-                want = Overflow.OUTPUT
-            else:
-                want = Bin(want_input, output_cap[o])
-            if got != want:
-                disagreements += 1
-    assert disagreements == 0, f"{disagreements} disagreements with the oracle"
+    for i in inputs.tolist():
+        got = bin_arrays(np.full(561, i), outputs, grid)
+        disagreements += (got.counts, got.excluded_input, got.excluded_output) != \
+            oracle({input_cap[i]: 1}, out_counts)
+    for o in outputs.tolist():
+        got = bin_arrays(inputs, np.full(8301, o), grid)
+        disagreements += (got.counts, got.excluded_input, got.excluded_output) != \
+            oracle(in_counts, {output_cap[o]: 1})
+    assert disagreements == 0, f"{disagreements} rows or columns disagree with the oracle"
 
 
 def _criterion_4():
@@ -229,14 +241,13 @@ def _criterion_9():
     rng = np.random.default_rng(1109)
 
     def random_trace(n):
-        inputs = rng.integers(0, 10000, size=n)
-        outputs = rng.integers(0, 700, size=n)
-        return [Request(int(i), int(o)) for i, o in zip(inputs, outputs)]
+        return rng.integers(0, 10000, size=n), rng.integers(0, 700, size=n)
 
     for _ in range(200):
         t1 = random_trace(int(rng.integers(0, 400)))
         t2 = random_trace(int(rng.integers(0, 400)))
-        w1, w2, w12 = bin_workload(t1), bin_workload(t2), bin_workload(t1 + t2)
+        t12 = [np.concatenate(column) for column in zip(t1, t2)]
+        w1, w2, w12 = (bin_workload(RequestColumns(*t)) for t in (t1, t2, t12))
         assert w1 + w2 == w12
         split_total = (
             estimate(w1, table, "synthetic", "A100-PCIe").total.joules

@@ -11,62 +11,76 @@ from tokenwatt import (
     BinGrid,
     BinnedWorkload,
     DEFAULT_GRID,
-    Overflow,
-    Request,
+    RequestColumns,
     ValidationError,
     bin_arrays,
     bin_workload,
-    map_to_bin,
     read_binned_csv,
     write_binned_csv,
 )
+from oracles import INPUT_OVERFLOW, OUTPUT_OVERFLOW, oracle_map_to_bin
+
+
+def map_to_bin(input_tokens, output_tokens, grid=DEFAULT_GRID):
+    """Where bin_arrays puts one request: its bin, or the oracle's overflow marker."""
+    workload = bin_arrays([input_tokens], [output_tokens], grid)
+    assert workload.total_requests == 1
+    if workload.excluded_input:
+        return INPUT_OVERFLOW
+    if workload.excluded_output:
+        return OUTPUT_OVERFLOW
+    (target,) = workload.counts
+    return target
+
+
+def _oracle_workload(pairs, grid):
+    """The counts and exclusion tallies oracle_map_to_bin gives `pairs`."""
+    expected: dict[Bin, int] = {}
+    overflow = {INPUT_OVERFLOW: 0, OUTPUT_OVERFLOW: 0}
+    for i, o in pairs:
+        target = oracle_map_to_bin(i, o, grid)
+        if target in overflow:
+            overflow[target] += 1
+        else:
+            expected[target] = expected.get(target, 0) + 1
+    return expected, overflow[INPUT_OVERFLOW], overflow[OUTPUT_OVERFLOW]
 
 
 def test_map_to_bin_rounds_up():
-    assert map_to_bin(Request(215, 7), DEFAULT_GRID) == Bin(256, 8)
-    assert map_to_bin(Request(929, 41), DEFAULT_GRID) == Bin(1024, 64)
-    assert map_to_bin(Request(33, 9), DEFAULT_GRID) == Bin(128, 16)
+    assert map_to_bin(215, 7) == Bin(256, 8)
+    assert map_to_bin(929, 41) == Bin(1024, 64)
+    assert map_to_bin(33, 9) == Bin(128, 16)
 
 
 def test_map_to_bin_exact_caps_stay_in_bin():
-    assert map_to_bin(Request(32, 8), DEFAULT_GRID) == Bin(32, 8)
-    assert map_to_bin(Request(8192, 512), DEFAULT_GRID) == Bin(8192, 512)
+    assert map_to_bin(32, 8) == Bin(32, 8)
+    assert map_to_bin(8192, 512) == Bin(8192, 512)
 
 
 def test_map_to_bin_zero_maps_to_smallest():
-    assert map_to_bin(Request(0, 0), DEFAULT_GRID) == Bin(32, 8)
+    assert map_to_bin(0, 0) == Bin(32, 8)
 
 
 def test_map_to_bin_overflow():
-    assert map_to_bin(Request(8193, 8), DEFAULT_GRID) is Overflow.INPUT
-    assert map_to_bin(Request(100, 513), DEFAULT_GRID) is Overflow.OUTPUT
+    assert map_to_bin(8193, 8) == INPUT_OVERFLOW
+    assert map_to_bin(100, 513) == OUTPUT_OVERFLOW
     # input overflow wins when both dimensions are over
-    assert map_to_bin(Request(9000, 600), DEFAULT_GRID) is Overflow.INPUT
+    assert map_to_bin(9000, 600) == INPUT_OVERFLOW
+    assert map_to_bin(2**63 - 1, 2**63 - 1) == INPUT_OVERFLOW
 
 
 def test_default_input_bins_skip_64():
-    assert map_to_bin(Request(33, 8), DEFAULT_GRID) == Bin(128, 8)
-    assert map_to_bin(Request(64, 8), DEFAULT_GRID) == Bin(128, 8)
+    assert map_to_bin(33, 8) == Bin(128, 8)
+    assert map_to_bin(64, 8) == Bin(128, 8)
+    assert map_to_bin(128, 8) == Bin(128, 8)
 
 
 def test_bin_arrays_matches_scalar_path(rng):
     inputs = rng.integers(0, 10000, size=5000)
     outputs = rng.integers(0, 700, size=5000)
     workload = bin_arrays(inputs, outputs, DEFAULT_GRID)
-
-    expected: dict[Bin, int] = {}
-    excl_in = excl_out = 0
-    for i, o in zip(inputs.tolist(), outputs.tolist()):
-        target = map_to_bin(Request(i, o), DEFAULT_GRID)
-        if target is Overflow.INPUT:
-            excl_in += 1
-        elif target is Overflow.OUTPUT:
-            excl_out += 1
-        else:
-            expected[target] = expected.get(target, 0) + 1
-    assert workload.counts == expected
-    assert workload.excluded_input == excl_in
-    assert workload.excluded_output == excl_out
+    expected = _oracle_workload(zip(inputs.tolist(), outputs.tolist()), DEFAULT_GRID)
+    assert (workload.counts, workload.excluded_input, workload.excluded_output) == expected
     assert workload.total_requests == 5000
 
 
@@ -79,19 +93,10 @@ def test_bin_arrays_agrees_with_map_to_bin_on_any_grid():
     @hypothesis.given(caps, caps, st.lists(st.tuples(tokens, tokens), max_size=60))
     def check(input_bins, output_bins, pairs):
         grid = BinGrid(input_bins=tuple(input_bins), output_bins=tuple(output_bins))
-        expected: dict[Bin, int] = {}
-        overflow = {Overflow.INPUT: 0, Overflow.OUTPUT: 0}
-        for i, o in pairs:
-            target = map_to_bin(Request(i, o), grid)
-            if isinstance(target, Overflow):
-                overflow[target] += 1
-            else:
-                expected[target] = expected.get(target, 0) + 1
         columns = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         workload = bin_arrays(columns[:, 0], columns[:, 1], grid)
-        assert workload.counts == expected
-        assert workload.excluded_input == overflow[Overflow.INPUT]
-        assert workload.excluded_output == overflow[Overflow.OUTPUT]
+        assert (workload.counts, workload.excluded_input, workload.excluded_output) == \
+            _oracle_workload(pairs, grid)
 
     check()
 
@@ -133,15 +138,14 @@ def test_bin_arrays_rejects_negative():
 
 
 def test_bin_workload_from_requests(small_grid):
-    reqs = [Request(10, 3), Request(200, 64), Request(2000, 3), Request(100, 100)]
-    w = bin_workload(reqs, small_grid)
+    w = bin_workload(RequestColumns([10, 200, 2000, 100], [3, 64, 3, 100]), small_grid)
     assert w.counts == {Bin(32, 8): 1, Bin(256, 64): 1}
     assert w.excluded_input == 1
     assert w.excluded_output == 1
 
 
 def test_bin_workload_default_grid():
-    w = bin_workload([Request(215, 7)])
+    w = bin_workload(RequestColumns([215], [7]))
     assert w.grid == DEFAULT_GRID
     assert w.counts == {Bin(256, 8): 1}
 
@@ -229,6 +233,6 @@ def test_exclusion_priority_input_first():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValidationError, match="equal length"):
+    with pytest.raises(ValidationError, match="unequal token columns: 2 and 1 rows"):
         bin_arrays(np.array([1, 2]), np.array([1]), DEFAULT_GRID)
 

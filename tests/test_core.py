@@ -12,11 +12,12 @@ from tokenwatt import (
     J_PER_KWH,
     J_PER_WH,
     ModelConfig,
-    Request,
+    RequestColumns,
     ValidationError,
+    bin_arrays,
     derive_param_count,
 )
-from tokenwatt.core import RequestColumns, read_config_file
+from tokenwatt.core import read_config_file, token_column
 
 
 def test_unit_constants():
@@ -33,19 +34,46 @@ def test_default_grid_caps():
 
 
 def test_request_validation():
-    assert Request(0, 0).input_tokens == 0
-    with pytest.raises(ValidationError):
-        Request(-1, 5)
-    with pytest.raises(ValidationError):
-        Request(5, -1)
-    # no silent truncation, no bool, nothing numpy cannot hold
-    for bad in (1.5, 2.0, True, "3", None, 2**63, 10**23):
-        with pytest.raises(ValidationError, match="int64"):
-            Request(bad, 1)
-        with pytest.raises(ValidationError, match="int64"):
-            Request(1, bad)
-    assert Request(2**63 - 1, np.int64(7)) == Request(2**63 - 1, 7)
-    assert Request(np.uint8(3), np.int32(4)).input_tokens == 3
+    # RequestColumns and bin_arrays check token columns alike: no silent
+    # truncation, no bool, nothing int64 cannot hold and no negative, whether
+    # the bad value comes alone or among good ones, in a list or an array
+    # (np.array([7, True]) is already int64, so only lists mix them)
+    def bin_default(inputs, outputs):
+        return bin_arrays(inputs, outputs, DEFAULT_GRID)
+
+    assert len(RequestColumns([0], [0])) == 1 and bin_default([0], [0]).total_requests == 1
+    for make in (RequestColumns, bin_default):
+        for bad in (1.5, 2.0, True, "3", None, 2**63, 10**23, -1, -(2**63)):
+            for column in ([bad], [7, bad], np.array([bad])):
+                with pytest.raises(ValidationError, match="int64"):
+                    make(column, [1] * len(column))
+                with pytest.raises(ValidationError, match="int64"):
+                    make([1] * len(column), column)
+        for column in ([[1, 2]], np.array([[1], [2]]), 5, np.int64(5)):  # a column is 1-D
+            with pytest.raises(ValidationError, match="1-D int64 column"):
+                make(column, column)
+        with pytest.raises(ValidationError, match="unequal token columns: 2 and 1 rows"):
+            make([1, 2], [1])
+    cols = RequestColumns([2**63 - 1, np.int64(7)], np.array([3, 4], dtype=np.uint8))
+    assert cols.inputs.tolist() == [2**63 - 1, 7] and cols.outputs.tolist() == [3, 4]
+    assert cols.outputs.dtype == np.int64
+    assert bin_default(np.array([2**63 - 1], dtype=np.uint64),
+                       np.array([3], dtype=np.int32)).excluded_input == 1
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_token_column_keeps_every_integer_dtype(dtype):
+    info = np.iinfo(dtype)
+    high = min(info.max, 2**63 - 1)
+    column = token_column(np.array([0, 1, high], dtype=dtype), "tokens")
+    assert column.dtype == np.int64 and column.tolist() == [0, 1, high]
+    if info.min < 0:
+        with pytest.raises(ValidationError, match=f"got {info.min}"):
+            token_column(np.array([5, info.min], dtype=dtype), "tokens")
+    if info.max > high:
+        with pytest.raises(ValidationError, match=f"got {high + 1}"):
+            token_column(np.array([high + 1, 5], dtype=dtype), "tokens")
 
 
 def test_bin_validation_and_order():
@@ -189,15 +217,14 @@ def test_config_from_file_rejects_unknown_and_missing_keys(tmp_path):
 
 
 def test_request_columns_view():
-    cols = RequestColumns(np.array([10, 0, 7]), np.array([2, 0, 3]))
+    inputs, outputs = np.array([10, 0, 7]), np.array([2, 0, 3])
+    cols = RequestColumns(inputs, outputs)
     assert len(cols) == 3 and cols
-    assert cols[0] == Request(10, 2) and cols[-1] == Request(7, 3)
-    assert cols[1:] == [Request(0, 0), Request(7, 3)]
-    assert list(cols) == [Request(10, 2), Request(0, 0), Request(7, 3)]
-    assert cols == [Request(10, 2), Request(0, 0), Request(7, 3)]
-    assert cols != [Request(10, 2)]
-    assert RequestColumns.of(cols) is cols
-    assert RequestColumns.of(iter(list(cols))) == list(cols)
-    with pytest.raises(IndexError):
-        cols[3]
-    assert not RequestColumns(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    # int64 columns are held as they are, not copied
+    assert cols.inputs is inputs and cols.outputs is outputs
+    assert RequestColumns((10, 0), range(2)).outputs.tolist() == [0, 1]
+    # a trace is its two columns, not a sequence of per-request objects
+    assert not hasattr(cols, "__getitem__") and not hasattr(cols, "__iter__")
+    for empty in ([], np.array([], dtype=np.int64), np.array([], dtype=float)):
+        cols = RequestColumns(empty, empty)
+        assert not cols and cols.inputs.dtype == cols.outputs.dtype == np.int64

@@ -12,7 +12,7 @@ import pytest
 import tokenwatt
 from tokenwatt import (BaselineReport, Bin, BinEstimate, BinGrid, BinnedWorkload, Comparison,
                        ComparisonEntry, CoverageReport, Energy, FlopsBreakdown, HardwareSpec,
-                       MeasurementRecord, MeasurementTable, ModelConfig, Request, SweepPlan,
+                       MeasurementRecord, MeasurementTable, ModelConfig, SweepPlan,
                        TableMetadata, TraceLoad, TraceReport, TraceSource, TraceStats,
                        ValidationError, WorkloadEstimate)
 from tokenwatt._frozen import _refuse_assignment, factory
@@ -29,8 +29,6 @@ _ENTRY = ComparisonEntry("vllm", Energy(6.0), 20.0, None)
 # Per class: two valid calls (args, kwargs) that build unequal values, and a
 # call that the class refuses (None where it refuses nothing).
 CASES = {
-    Request: [((3, 4), {}), ((), {"input_tokens": 5, "output_tokens": 4}),
-              ((-1, 4), {})],
     Bin: [((32, 8), {}), ((32, 16), {}), ((0, 8), {})],
     BinGrid: [((), {}), (((32, 64), (8,)), {}), (((),), {})],
     HardwareSpec: [(("A100", 300.0, 3.1e14), {}), (("H100", 700.0, 9.9e14), {}),
@@ -59,7 +57,7 @@ CASES = {
                                                    {}),
                   (("t.csv", "tsv"), {})],
     RowError: [((2, "bad"), {}), ((3, "bad"), {}), None],
-    TraceLoad: [(([Request(1, 2)], []), {}), (([], [RowError(2, "bad")]), {}), None],
+    TraceLoad: [(([(1, 2)], []), {}), (([], [RowError(2, "bad")]), {}), None],
     TraceStats: [(_STATS.__dict__.values(), {}), ((1, 1.0, 0.0, 1.0, 1.0, 1), {}), None],
     ComparisonEntry: [(_ENTRY.__dict__.values(), {}), (("naive", Energy(9.0), 80.0, -50.0), {}),
                       None],
@@ -127,7 +125,7 @@ def test_every_value_class_is_covered():
              == "tokenwatt" for obj in vars(module).values()
              if isinstance(obj, type) and vars(obj).get("__setattr__") is _refuse_assignment}
     assert found == set(CLASSES)
-    assert len(found) == 24
+    assert len(found) == 23
     assert not any(dataclasses.is_dataclass(cls) for cls in found)
 
 

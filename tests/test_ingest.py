@@ -10,13 +10,14 @@ import pytest
 
 from tokenwatt import ingest
 from tokenwatt import (
-    Request,
+    RequestColumns,
     TraceSource,
     ValidationError,
     compute_stats,
     load_trace,
     summarize_trace,
 )
+from conftest import token_pairs
 
 
 def _csv_source(tmp_path, text, **kwargs):
@@ -41,7 +42,7 @@ def test_source_validation():
 def test_csv_happy_path(tmp_path):
     src = _csv_source(tmp_path, "input_tokens,output_tokens\n10,2\n0,0\n")
     load = load_trace(src)
-    assert load.requests == [Request(10, 2), Request(0, 0)]
+    assert token_pairs(load.requests) == [(10, 2), (0, 0)]
     assert load.malformed == []
 
 
@@ -51,7 +52,7 @@ def test_csv_column_mapping(tmp_path):
         "ts,prompt_len,gen_len\n1,10,2\n2,30,4\n",
         column_map={"input_tokens": "prompt_len", "output_tokens": "gen_len"},
     )
-    assert load_trace(src).requests == [Request(10, 2), Request(30, 4)]
+    assert token_pairs(load_trace(src).requests) == [(10, 2), (30, 4)]
 
 
 def test_csv_missing_column(tmp_path):
@@ -81,7 +82,7 @@ def test_permissive_mode_skips_and_records(tmp_path):
     text = "input_tokens,output_tokens\n10,2\nbad,2\n5,-1\n7,3\n3.5,2\n"
     src = _csv_source(tmp_path, text)
     load = load_trace(src, permissive=True)
-    assert load.requests == [Request(10, 2), Request(7, 3)]
+    assert token_pairs(load.requests) == [(10, 2), (7, 3)]
     assert load.malformed_count == 3
     assert [e.line for e in load.malformed] == [3, 4, 6]
 
@@ -91,7 +92,7 @@ def test_jsonl_happy_path(tmp_path):
         {"input_tokens": 10, "output_tokens": 2},
         {"input_tokens": 0, "output_tokens": 7},
     ])
-    assert load_trace(src).requests == [Request(10, 2), Request(0, 7)]
+    assert token_pairs(load_trace(src).requests) == [(10, 2), (0, 7)]
 
 
 def test_jsonl_rejects_bool_float_and_missing(tmp_path):
@@ -102,7 +103,7 @@ def test_jsonl_rejects_bool_float_and_missing(tmp_path):
         {"input_tokens": 4, "output_tokens": 2},
     ])
     load = load_trace(src, permissive=True)
-    assert load.requests == [Request(4, 2)]
+    assert token_pairs(load.requests) == [(4, 2)]
     assert load.malformed_count == 3
 
 
@@ -113,7 +114,7 @@ def test_token_count_beyond_int64_is_malformed(tmp_path):
         {"input_tokens": 4, "output_tokens": 2**63 - 1},
     ])
     load = load_trace(src, permissive=True)
-    assert load.requests == [Request(4, 2**63 - 1)]
+    assert token_pairs(load.requests) == [(4, 2**63 - 1)]
     assert [(e.line, e.message) for e in load.malformed] == [
         (1, f"column 'input_tokens' exceeds the int64 range: {huge}")]
     src = _csv_source(tmp_path, f"input_tokens,output_tokens\n1,{huge}\n")
@@ -131,7 +132,7 @@ def test_jsonl_non_object_row(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('[1, 2]\n{"input_tokens": 1, "output_tokens": 2}\n', encoding="utf-8")
     load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
-    assert load.requests == [Request(1, 2)]
+    assert token_pairs(load.requests) == [(1, 2)]
     assert load.malformed[0].line == 1
 
 
@@ -140,14 +141,14 @@ def test_jsonl_too_deeply_nested_row(tmp_path):
     path.write_text("[" * 200_000 + '\n{"input_tokens": 1, "output_tokens": 2}\n',
                     encoding="utf-8")
     load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
-    assert load.requests == [Request(1, 2)]
+    assert token_pairs(load.requests) == [(1, 2)]
     assert load.malformed[0].line == 1
 
 
 def test_stdin_trace(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("input_tokens,output_tokens\n9,1\n"))
     load = load_trace(TraceSource(path="-", format="generic-csv"))
-    assert load.requests == [Request(9, 1)]
+    assert token_pairs(load.requests) == [(9, 1)]
 
 
 def test_stats_single_value():
@@ -181,6 +182,13 @@ def test_stats_rejects_empty_and_negative():
         compute_stats([])
     with pytest.raises(ValidationError):
         compute_stats([1, -2])
+    # nor what they would truncate or wrap: a float max of 3.9 read as 3,
+    # and 2**63 wrapped negative
+    for bad in ([1.5, 2.5, 3.9], [2**63], np.array([2**63], dtype=np.uint64), [1, True],
+                [[1, 2]], ["12"]):
+        with pytest.raises(ValidationError, match="int64"):
+            compute_stats(bad)
+    assert compute_stats(np.array([3, 250], dtype=np.uint8)).max == 250
 
 
 def test_stats_match_exact_fractions():
@@ -261,9 +269,8 @@ def test_jsonl_line_numbers_across_line_ends_and_block_sizes(tmp_path, chunk_cha
 
 
 def test_summarize_trace():
-    reqs = [Request(10, 1), Request(20, 3), Request(30, 5)]
-    input_stats, output_stats = summarize_trace(reqs)
+    input_stats, output_stats = summarize_trace(RequestColumns([10, 20, 30], [1, 3, 5]))
     assert input_stats.mean == 20.0
     assert output_stats.median == 3.0
-    with pytest.raises(ValidationError):
-        summarize_trace([])
+    with pytest.raises(ValidationError, match="empty trace"):
+        summarize_trace(RequestColumns([], []))

@@ -20,8 +20,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from tokenwatt import Request, TraceSource, ValidationError, load_trace
+from tokenwatt import TraceSource, ValidationError, load_trace
 from tokenwatt import ingest
+from conftest import token_pairs
 from oracles import oracle_parse_csv
 
 CHUNK_CHARS = (1, 2, 7, 40, 1 << 16)
@@ -154,7 +155,7 @@ def test_line_numbers_after_blank_lines_and_lone_cr(tmp_path, body, bad_line):
     for chunk_chars in CHUNK_CHARS:
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             load = load_trace(source, permissive=True)
-        assert load.requests == [Request(1, 2), Request(3, 4)]
+        assert token_pairs(load.requests) == [(1, 2), (3, 4)]
         assert [(e.line, e.message) for e in load.malformed] == errors
 
 
@@ -166,7 +167,7 @@ def _csv_source(tmp_path, text):
 
 def test_header_only_trace_is_empty(tmp_path):
     load = load_trace(_csv_source(tmp_path, "input_tokens,output_tokens\n"))
-    assert load.requests == []
+    assert token_pairs(load.requests) == []
     assert load.malformed == []
 
 
@@ -178,7 +179,7 @@ def test_blank_only_chunk_warns_nothing(tmp_path, capsys):
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         load = load_trace(source)
-    assert load.requests == [Request(1, 2), Request(5, 6), Request(3, 4)]
+    assert token_pairs(load.requests) == [(1, 2), (5, 6), (3, 4)]
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
 
@@ -186,7 +187,7 @@ def test_blank_only_chunk_warns_nothing(tmp_path, capsys):
 def test_repeated_column_name_reads_its_last_column(tmp_path):
     source = _csv_source(tmp_path, "input_tokens,output_tokens,input_tokens\n1,2,3\n4,5\n")
     load = load_trace(source, permissive=True)
-    assert load.requests == [Request(3, 2)]
+    assert token_pairs(load.requests) == [(3, 2)]
     assert [(e.line, e.message) for e in load.malformed] == [
         (3, "column 'input_tokens' is not an integer: None")]
 
@@ -196,7 +197,7 @@ def test_quoted_record_across_chunk_boundary(tmp_path):
     for chunk_chars in CHUNK_CHARS:
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             load = load_trace(_csv_source(tmp_path, text), permissive=True)
-        assert load.requests == [Request(1, 2), Request(5, 6)]
+        assert token_pairs(load.requests) == [(1, 2), (5, 6)]
         assert [(e.line, e.message) for e in load.malformed] == [
             (5, "column 'output_tokens' is not an integer: 'x'"),
             (7, "column 'input_tokens' is not an integer: 'bad'"),

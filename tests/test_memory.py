@@ -12,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tokenwatt import DEFAULT_GRID, Request, TraceSource, bin_arrays, compute_stats, load_trace
+from tokenwatt import (DEFAULT_GRID, RequestColumns, TraceSource, bin_arrays, compute_stats,
+                       load_trace)
 from tokenwatt import binning, ingest
-from tokenwatt.core import RequestColumns
 
 
 def _traced_peak(call) -> int:
@@ -44,6 +44,11 @@ def test_binning_allocates_per_slice_not_per_trace(columns):
         <= 48 * binning._BIN_SLICE
 
 
+def test_checking_int64_columns_copies_nothing(columns):
+    # the check of each column is one min pass; a copy would take 3.2 MB
+    assert _traced_peak(lambda: RequestColumns(*columns)) <= 4096
+
+
 @pytest.mark.parametrize("values", ["lognormal", "all distinct"])
 def test_stats_allocate_about_one_column_copy(columns, values):
     inputs = columns[0] if values == "lognormal" else \
@@ -70,12 +75,3 @@ def test_loading_allocates_the_columns_and_one_block(tmp_path, columns):
     # on its own, and keeping every line string for a while far more
     assert peak <= 1.25 * column_bytes + 8 * ingest._CHUNK_CHARS
 
-
-def test_slicing_trace_columns_builds_only_the_slice(columns):
-    cols = RequestColumns(*columns)
-    got = []
-    # building every Request of the trace first takes about 200 bytes a row
-    assert _traced_peak(lambda: got.append(cols[2:5])) <= 4096
-    assert got[0] == [Request(int(columns[0][k]), int(columns[1][k])) for k in (2, 3, 4)]
-    assert cols[::-200_000] == [Request(int(columns[0][k]), int(columns[1][k]))
-                                for k in (399_999, 199_999)]
