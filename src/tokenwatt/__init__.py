@@ -40,7 +40,6 @@ from .flops import (
 from .ingest import (
     TRACE_FORMATS,
     TraceLoad,
-    TraceSource,
     TraceStats,
     compute_stats,
     load_trace,
@@ -87,7 +86,7 @@ __all__ = [
     "BinEstimate", "ESTIMATE_MODES", "WorkloadEstimate", "estimate",
     "FlopsBreakdown", "idealized_energy", "joules_per_flop", "request_flops",
     "workload_flops",
-    "TRACE_FORMATS", "TraceLoad", "TraceSource", "TraceStats", "compute_stats",
+    "TRACE_FORMATS", "TraceLoad", "TraceStats", "compute_stats",
     "load_trace", "summarize_trace",
     "BaselineReport", "Comparison", "ComparisonEntry", "REPORT_FORMATS",
     "SCHEMA_VERSION", "TraceReport", "compare", "emit_report",

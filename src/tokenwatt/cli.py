@@ -19,10 +19,10 @@ from types import SimpleNamespace
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
 from .core import (INT64_MAX, BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError,
-                   open_text, parse_caps)
+                   open_text, parse_caps, parse_value)
 from .estimator import ESTIMATE_MODES, estimate
 from .flops import idealized_energy, joules_per_flop, workload_flops
-from .ingest import TRACE_FORMATS, TraceSource, load_trace, summarize_trace
+from .ingest import TRACE_FORMATS, load_trace, summarize_trace
 from .report import (
     BaselineReport,
     REPORT_FORMATS,
@@ -53,18 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(spec: str | None) -> BinGrid:
-    """Grid flag syntax: 'I1,I2,...:O1,O2,...' (caps ascending)."""
+    """Grid flag syntax: 'I1,I2,...:O1,O2,...'. Each side is a caps list,
+    read by parse_caps (parse_value words its errors) and checked by BinGrid."""
     if spec is None:
         return BinGrid()
     if ":" not in spec:
         raise ValidationError(f"grid spec must be 'I1,I2,...:O1,O2,...', got {spec!r}")
-    try:
-        caps = [parse_caps(side) for side in spec.split(":", 1)]
-    except OverflowError:
-        raise ValidationError(f"grid spec has caps beyond the int64 range: {spec!r}") from None
-    except ValueError:
-        raise ValidationError(f"grid spec has non-integer caps: {spec!r}") from None
-    return BinGrid(*caps)
+    return BinGrid(*(parse_value(parse_caps, side, "grid spec") for side in spec.split(":", 1)))
 
 
 def _check_out(out: str | None) -> None:
@@ -82,15 +77,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_requests(args):
     """The --trace requests; skipped malformed rows are noted on stderr."""
-    source = TraceSource(
-        path=args.trace,
-        format=args.trace_format,
-        column_map={
-            "input_tokens": args.input_column,
-            "output_tokens": args.output_column,
-        },
-    )
-    load = load_trace(source, permissive=args.permissive)
+    load = load_trace(args.trace, args.trace_format, args.input_column, args.output_column,
+                      args.permissive)
     if load.malformed:
         sys.stderr.write(f"note: skipped {load.malformed_count} malformed rows\n")
     return load.requests
@@ -106,11 +94,14 @@ def _dataset_name(args) -> str:
 
 
 def _load_workload(args) -> BinnedWorkload:
-    if args.binned is not None:
+    """The --binned workload, or the --trace requests binned on --grid, which
+    is checked before the trace is read."""
+    if getattr(args, "binned", None) is not None:
         if args.grid is not None:
             raise ValidationError("--grid cannot be used with --binned; the file carries its grid")
         return read_binned_csv(args.binned)
-    return bin_workload(_load_requests(args), parse_grid(args.grid))
+    grid = parse_grid(args.grid)
+    return bin_workload(_load_requests(args), grid)
 
 
 def cmd_stats(args) -> int:
@@ -129,7 +120,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bin(args) -> int:
-    workload = bin_workload(_load_requests(args), parse_grid(args.grid))
+    workload = _load_workload(args)
     buf = io.StringIO()
     write_binned_csv(workload, buf)
     _emit(buf.getvalue(), args.out)

@@ -13,10 +13,11 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from functools import total_ordering
 from pathlib import Path
 from typing import Any, Callable, Optional, TextIO
 
-from ._frozen import frozen
+from ._frozen import _refuse_assignment, _refuse_deletion, frozen
 
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
@@ -65,22 +66,27 @@ class RequestColumns:
     """A trace: the input and output token counts of its requests, in file
     order, as two int64 columns of equal length (16 bytes per request).
 
-    Both columns are checked by token_column; binning and statistics read
-    `inputs` and `outputs` directly.
+    Both columns are checked by token_column, which holds an int64 array as
+    it is, not a copy; binning and statistics read `inputs` and `outputs`
+    directly. Neither can be reassigned or deleted once checked.
     """
 
-    __slots__ = ("inputs", "outputs")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
     def __init__(self, inputs: Any, outputs: Any) -> None:
-        self.inputs = token_column(inputs, "input tokens")
-        self.outputs = token_column(outputs, "output tokens")
-        if len(self.inputs) != len(self.outputs):
-            raise ValidationError(f"unequal token columns: {len(self)} and {len(self.outputs)} rows")
+        inputs = token_column(inputs, "input tokens")
+        outputs = token_column(outputs, "output tokens")
+        if len(inputs) != len(outputs):
+            raise ValidationError(f"unequal token columns: {len(inputs)} and {len(outputs)} rows")
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
 
     def __len__(self) -> int:
         return len(self.inputs)
 
 
+@total_ordering
 @frozen
 class Bin:
     """A cell of the bin grid: the (input_cap, output_cap) a request rounds up
@@ -100,6 +106,8 @@ class Bin:
 
     # Bins are also hashed, compared and sorted thousands of times a run, so
     # these read the two caps directly, as a dataclass's methods would.
+    # total_ordering derives <=, > and >= from __lt__ and __eq__; sorting
+    # calls only those two.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Bin:
             return NotImplemented
@@ -113,47 +121,32 @@ class Bin:
             return NotImplemented
         return (self.input_cap, self.output_cap) < (other.input_cap, other.output_cap)
 
-    def __le__(self, other: Bin) -> bool:
-        if other.__class__ is not Bin:
-            return NotImplemented
-        return (self.input_cap, self.output_cap) <= (other.input_cap, other.output_cap)
 
-    def __gt__(self, other: Bin) -> bool:
-        if other.__class__ is not Bin:
-            return NotImplemented
-        return (self.input_cap, self.output_cap) > (other.input_cap, other.output_cap)
-
-    def __ge__(self, other: Bin) -> bool:
-        if other.__class__ is not Bin:
-            return NotImplemented
-        return (self.input_cap, self.output_cap) >= (other.input_cap, other.output_cap)
+def check_caps(name: str, caps: Iterable[int]) -> tuple[int, ...]:
+    """`caps` as a tuple, refused unless non-empty, positive and strictly
+    increasing, as a grid's caps and a sweep plan's points must be."""
+    caps = tuple(caps)
+    if not caps:
+        raise ValidationError(f"{name} must be non-empty")
+    if any(c <= 0 for c in caps):
+        raise ValidationError(f"{name} must be positive, got {caps}")
+    if any(a >= b for a, b in zip(caps, caps[1:])):
+        raise ValidationError(f"{name} must be strictly increasing, got {caps}")
+    return caps
 
 
 @frozen
 class BinGrid:
-    """The discrete lattice of input/output token caps."""
+    """The discrete lattice of input/output token caps: two caps lists, each
+    held as a tuple checked by check_caps; the largest caps are
+    `input_bins[-1]` and `output_bins[-1]`."""
 
     input_bins: tuple[int, ...] = DEFAULT_INPUT_BINS
     output_bins: tuple[int, ...] = DEFAULT_OUTPUT_BINS
 
     def __post_init__(self) -> None:
-        for name, bins in (("input_bins", self.input_bins), ("output_bins", self.output_bins)):
-            bins = tuple(bins)
-            object.__setattr__(self, name, bins)
-            if not bins:
-                raise ValidationError(f"{name} must be non-empty")
-            if any(b <= 0 for b in bins):
-                raise ValidationError(f"{name} must be positive, got {bins}")
-            if any(a >= b for a, b in zip(bins, bins[1:])):
-                raise ValidationError(f"{name} must be strictly increasing, got {bins}")
-
-    @property
-    def max_input(self) -> int:
-        return self.input_bins[-1]
-
-    @property
-    def max_output(self) -> int:
-        return self.output_bins[-1]
+        for name in ("input_bins", "output_bins"):
+            object.__setattr__(self, name, check_caps(name, getattr(self, name)))
 
     def bins(self) -> list[Bin]:
         """All grid cells, sorted by (input_cap, output_cap)."""

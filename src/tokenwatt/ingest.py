@@ -41,7 +41,7 @@ from itertools import chain, compress
 from operator import mul, not_
 from typing import Iterator, Sequence, TextIO
 
-from ._frozen import factory, frozen
+from ._frozen import frozen
 from .core import INT64_MAX, RequestColumns, ValidationError, open_text, token_column
 
 TRACE_FORMATS = ("generic-csv", "jsonl")
@@ -54,26 +54,6 @@ _STATS_INT64_BOUND = 1 << 25
 
 
 @frozen
-class TraceSource:
-    """Where a trace lives and how its columns map to token fields."""
-
-    path: str
-    format: str  # one of TRACE_FORMATS
-    column_map: dict[str, str] = factory(
-        lambda: {"input_tokens": "input_tokens", "output_tokens": "output_tokens"}
-    )
-
-    def __post_init__(self) -> None:
-        if self.format not in TRACE_FORMATS:
-            raise ValidationError(
-                f"unknown trace format {self.format!r}; expected one of {TRACE_FORMATS}"
-            )
-        missing = {"input_tokens", "output_tokens"} - self.column_map.keys()
-        if missing:
-            raise ValidationError(f"column_map missing fields: {', '.join(sorted(missing))}")
-
-
-@frozen
 class RowError:
     line: int
     message: str
@@ -81,8 +61,9 @@ class RowError:
 
 @frozen
 class TraceLoad:
-    """Result of parsing a trace: the token columns of its requests, in file
-    order, plus the rows skipped as malformed."""
+    """Result of load_trace: the token columns of its requests, in file
+    order, plus the rows skipped as malformed (only a permissive load keeps
+    any)."""
 
     requests: RequestColumns
     malformed: list[RowError]
@@ -104,20 +85,27 @@ class TraceStats:
     max: int
 
 
-def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
-    """Parse a trace file (read by core.open_text, so `-` is stdin) into
-    its two int64 token columns.
+def load_trace(path: str, format: str = "generic-csv", input_column: str = "input_tokens",
+               output_column: str = "output_tokens", permissive: bool = False) -> TraceLoad:
+    """Parse the trace file at `path` (read by core.open_text, so `-` is
+    stdin) into its two int64 token columns.
 
-    Raises on any malformed row unless `permissive`, in which case bad rows
-    are skipped and returned in .malformed. Row order is preserved.
+    `format` is one of TRACE_FORMATS; another is refused before the file is
+    opened. The token counts are read from the csv columns, or jsonl members,
+    named `input_column` and `output_column`. Raises on any malformed row
+    unless `permissive`, in which case bad rows are skipped and returned in
+    .malformed. Row order is preserved.
     """
+    if format not in TRACE_FORMATS:
+        raise ValidationError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
+    names = (input_column, output_column)
     malformed: list[RowError] = []
     try:
-        with open_text(source.path, "trace file") as stream:
-            if source.format == "generic-csv":
-                line, parse = _csv_header(stream, source, malformed)
+        with open_text(path, "trace file") as stream:
+            if format == "generic-csv":
+                line, parse = _csv_header(stream, path, names, malformed)
             else:
-                line, parse = 0, partial(_parse_jsonl_block, source.column_map, malformed)
+                line, parse = 0, partial(_parse_jsonl_block, names, malformed)
             inputs, outputs = _Column(), _Column()
             while block := stream.read(_CHUNK_CHARS):
                 if block[-1] != "\n":  # end at a line end, and never between `\r` and `\n`
@@ -127,11 +115,11 @@ def load_trace(source: TraceSource, permissive: bool = False) -> TraceLoad:
                 inputs.extend(tokens[:, 0])
                 outputs.extend(tokens[:, 1])
     except csv.Error as exc:
-        raise ValidationError(f"{source.path}: unreadable csv ({exc})") from None
+        raise ValidationError(f"{path}: unreadable csv ({exc})") from None
     if malformed and not permissive:
         first = malformed[0]
         raise ValidationError(
-            f"{source.path}: {len(malformed)} malformed row(s); first at line "
+            f"{path}: {len(malformed)} malformed row(s); first at line "
             f"{first.line}: {first.message} (use permissive mode to skip)"
         )
     return TraceLoad(RequestColumns(inputs.array(), outputs.array()), malformed)
@@ -152,20 +140,20 @@ def _token_value(raw, column: str) -> int:
     return raw
 
 
-def _csv_header(stream: TextIO, source: TraceSource, malformed: list[RowError]):
-    """Read the header row of a csv trace; return the lines read and the
-    parser of the blocks that follow, as `parse(block, first_line)`."""
+def _csv_header(stream: TextIO, path: str, names: tuple[str, str], malformed: list[RowError]):
+    """Read the header row of a csv trace whose token columns are `names`;
+    return the lines read and the parser of the blocks that follow, as
+    `parse(block, first_line)`."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
-        raise ValidationError(f"{source.path}: empty file, expected a header row")
+        raise ValidationError(f"{path}: empty file, expected a header row")
     # a repeated name means its last column, as with csv.DictReader
     index = {name: i for i, name in enumerate(header)}
     columns = []
-    for key in ("input_tokens", "output_tokens"):
-        col = source.column_map[key]
+    for col in names:
         if col not in index:
-            raise ValidationError(f"{source.path}: missing column {col!r}; header has {header}")
+            raise ValidationError(f"{path}: missing column {col!r}; header has {header}")
         columns.append((index[col], col))
     plain = _plain_line(tuple(i for i, _ in columns))
     return reader.line_num, partial(_parse_block, stream, columns, plain, malformed)
@@ -328,14 +316,14 @@ class _Column:
         return self.values
 
 
-def _parse_jsonl_block(column_map: dict[str, str], malformed: list[RowError], block: str,
+def _parse_jsonl_block(names: tuple[str, str], malformed: list[RowError], block: str,
                        first_line: int) -> tuple[np.ndarray, int]:
-    """The (rows, 2) token block of a jsonl text block and the physical lines
-    read. Blank lines are skipped; a malformed line goes to `malformed`,
-    numbered from `first_line`."""
+    """The (rows, 2) token block of a jsonl text block, its token members
+    `names`, and the physical lines read. Blank lines are skipped; a
+    malformed line goes to `malformed`, numbered from `first_line`."""
     import numpy as np
 
-    in_col, out_col = column_map["input_tokens"], column_map["output_tokens"]
+    in_col, out_col = names
     inputs: list[int] = []
     outputs: list[int] = []
     lines = io.StringIO(block, newline="").readlines()
@@ -346,7 +334,7 @@ def _parse_jsonl_block(column_map: dict[str, str], malformed: list[RowError], bl
             obj = json.loads(raw)
             if not isinstance(obj, dict):
                 raise ValidationError(f"expected a json object, got {type(obj).__name__}")
-            for col in (in_col, out_col):
+            for col in names:
                 if col not in obj:
                     raise ValidationError(f"missing member {col!r}")
             i = _token_value(obj[in_col], in_col)

@@ -14,6 +14,7 @@ from ._frozen import factory, frozen
 from .core import (
     BinGrid,
     ValidationError,
+    check_caps,
     format_caps,
     format_config,
     from_config,
@@ -57,12 +58,7 @@ class SweepPlan:
             raise ValidationError(
                 f"fixed must pin exactly {sorted(expected_fixed)}, got {sorted(self.fixed)}"
             )
-        if not self.points:
-            raise ValidationError("points must be non-empty")
-        if any(p < 1 for p in self.points):
-            raise ValidationError("points must be positive")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
-            raise ValidationError(f"points must be strictly increasing, got {self.points}")
+        object.__setattr__(self, "points", check_caps("points", self.points))
         bad = [p for p in self.points if not _is_pow2(p)]
         if bad:
             raise ValidationError(f"points must be powers of two: {bad}")
@@ -210,7 +206,8 @@ class CoverageReport:
 
     @property
     def full_coverage(self) -> bool:
-        return all(not pts for pts in self.missing.values())
+        """True when the table has a (backend, device) and each has every point."""
+        return bool(self.missing) and all(not pts for pts in self.missing.values())
 
     def summary_lines(self) -> list[str]:
         lines = [f"planned on-grid points: {len(self.planned_points)}"]

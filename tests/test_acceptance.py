@@ -30,7 +30,6 @@ from tokenwatt import (
     ModelConfig,
     RequestColumns,
     TableMetadata,
-    TraceSource,
     bin_arrays,
     bin_workload,
     compare,
@@ -362,11 +361,8 @@ def _criterion_11():
             "BurstGPT trace not found (set TOKENWATT_BURSTGPT_TRACE or place "
             "BurstGPT_1.csv under tests/data/)"
         )
-    source = TraceSource(
-        path=str(path), format="generic-csv",
-        column_map={"input_tokens": "Request tokens", "output_tokens": "Response tokens"},
-    )
-    load = load_trace(source, permissive=True)
+    load = load_trace(str(path), input_column="Request tokens",
+                      output_column="Response tokens", permissive=True)
     input_stats, output_stats = summarize_trace(load.requests)
     assert abs(input_stats.mean - 256.80) <= 0.01 * 256.80
     assert abs(input_stats.median - 215) <= 1

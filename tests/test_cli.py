@@ -330,6 +330,23 @@ def test_out_is_checked_before_any_input_is_read(tmp_path, capsys, command, out)
         f"error: --out {tmp_path / out}: not a file in an existing directory\n")
 
 
+@pytest.mark.parametrize("command", [["bin"],
+                                     ["estimate", "--table", "t.csv", "--backend", "b",
+                                      "--device", "d"],
+                                     ["baseline", "--model", "m.cfg", "--hw", "h.cfg"]])
+@pytest.mark.parametrize("grid,message", [
+    ("32,x:8", "grid spec must be comma-separated integers, got '32,x'"),
+    ("32,9223372036854775808:8", "grid spec exceeds the int64 range: 32,9223372036854775808"),
+    ("128,32:8", "input_bins must be strictly increasing, got (128, 32)"),
+    ("32:", "grid spec must be comma-separated integers, got ''"),
+    ("32,64", "grid spec must be 'I1,I2,...:O1,O2,...', got '32,64'"),
+])
+def test_grid_is_checked_before_any_input_is_read(tmp_path, capsys, command, grid, message):
+    # the trace does not exist, so an error naming the grid shows the order
+    assert run(*command, "--trace", str(tmp_path / "absent.csv"), "--grid", grid) == 2
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["stats", "--trace", "t.csv", "--forma", "csv"],
                                   ["synth-table", "--model", "m", "--hw", "h", "--efficiency",
                                    "1", "--decode-penalty", "2", "--kv-bytes", "3"]])
@@ -458,6 +475,16 @@ def test_validate_table_partial_coverage_exits_2(fixture_paths, capsys):
     captured = capsys.readouterr()
     assert "missing" in captured.out
     assert captured.err.startswith("error:")
+
+
+def test_validate_table_without_rows_exits_2(tmp_path, capsys):
+    # a header-only table covers none of the planned points
+    table = tmp_path / "empty.csv"
+    table.write_text(FIXTURE_TABLE.split("\n", 1)[0] + "\n", encoding="utf-8")
+    assert run("validate-table", "--table", str(table)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "planned on-grid points: 21\nno (backend, device) pairs in table\n"
+    assert captured.err == "error: table does not cover all planned grid points\n"
 
 
 def test_synth_table_bad_efficiency(fixture_paths, capsys):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,8 +31,8 @@ def test_unit_constants():
 def test_default_grid_caps():
     assert DEFAULT_INPUT_BINS == (32, 128, 256, 512, 1024, 2048, 4096, 8192)
     assert DEFAULT_OUTPUT_BINS == (8, 16, 32, 64, 128, 256, 512)
-    assert DEFAULT_GRID.max_input == 8192
-    assert DEFAULT_GRID.max_output == 512
+    assert DEFAULT_GRID.input_bins[-1] == 8192
+    assert DEFAULT_GRID.output_bins[-1] == 512
     assert len(DEFAULT_GRID.bins()) == 56
 
 
@@ -228,3 +231,17 @@ def test_request_columns_view():
     for empty in ([], np.array([], dtype=np.int64), np.array([], dtype=float)):
         cols = RequestColumns(empty, empty)
         assert not cols and cols.inputs.dtype == cols.outputs.dtype == np.int64
+
+
+@pytest.mark.parametrize("name", ["inputs", "outputs"])
+def test_request_columns_cannot_be_replaced_after_their_check(name):
+    cols = RequestColumns([1, 2, 3], [4, 5, 6])
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(cols, name, np.array([7]))
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(cols, name)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        cols.extra = 1
+    assert len(cols) == 3 and getattr(cols, name).tolist() in ([1, 2, 3], [4, 5, 6])
+    for back in (pickle.loads(pickle.dumps(cols)), copy.copy(cols)):
+        assert back.inputs.tolist() == [1, 2, 3] and back.outputs.tolist() == [4, 5, 6]

@@ -11,7 +11,6 @@ import pytest
 from tokenwatt import ingest
 from tokenwatt import (
     RequestColumns,
-    TraceSource,
     ValidationError,
     compute_stats,
     load_trace,
@@ -20,23 +19,24 @@ from tokenwatt import (
 from conftest import token_pairs
 
 
-def _csv_source(tmp_path, text, **kwargs):
+def _csv_source(tmp_path, text):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
-    return TraceSource(path=str(path), format="generic-csv", **kwargs)
+    return str(path)
 
 
 def _jsonl_source(tmp_path, rows):
     path = tmp_path / "trace.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    return TraceSource(path=str(path), format="jsonl")
+    return str(path)
 
 
 def test_source_validation():
-    with pytest.raises(ValidationError):
-        TraceSource(path="x", format="parquet")
-    with pytest.raises(ValidationError):
-        TraceSource(path="x", format="jsonl", column_map={"input_tokens": "a"})
+    # an unknown format is refused before the file is looked for
+    with pytest.raises(ValidationError, match="unknown trace format 'parquet'"):
+        load_trace("x", "parquet")
+    with pytest.raises(ValidationError, match="trace file not found"):
+        load_trace("x", "jsonl")
 
 
 def test_csv_happy_path(tmp_path):
@@ -47,12 +47,9 @@ def test_csv_happy_path(tmp_path):
 
 
 def test_csv_column_mapping(tmp_path):
-    src = _csv_source(
-        tmp_path,
-        "ts,prompt_len,gen_len\n1,10,2\n2,30,4\n",
-        column_map={"input_tokens": "prompt_len", "output_tokens": "gen_len"},
-    )
-    assert token_pairs(load_trace(src).requests) == [(10, 2), (30, 4)]
+    src = _csv_source(tmp_path, "ts,prompt_len,gen_len\n1,10,2\n2,30,4\n")
+    load = load_trace(src, input_column="prompt_len", output_column="gen_len")
+    assert token_pairs(load.requests) == [(10, 2), (30, 4)]
 
 
 def test_csv_missing_column(tmp_path):
@@ -69,7 +66,7 @@ def test_csv_empty_file(tmp_path):
 
 def test_missing_file():
     with pytest.raises(ValidationError, match="not found"):
-        load_trace(TraceSource(path="/nonexistent/trace.csv", format="generic-csv"))
+        load_trace("/nonexistent/trace.csv")
 
 
 def test_strict_mode_aborts_with_line_number(tmp_path):
@@ -92,7 +89,7 @@ def test_jsonl_happy_path(tmp_path):
         {"input_tokens": 10, "output_tokens": 2},
         {"input_tokens": 0, "output_tokens": 7},
     ])
-    assert token_pairs(load_trace(src).requests) == [(10, 2), (0, 7)]
+    assert token_pairs(load_trace(src, "jsonl").requests) == [(10, 2), (0, 7)]
 
 
 def test_jsonl_rejects_bool_float_and_missing(tmp_path):
@@ -102,7 +99,7 @@ def test_jsonl_rejects_bool_float_and_missing(tmp_path):
         {"output_tokens": 2},
         {"input_tokens": 4, "output_tokens": 2},
     ])
-    load = load_trace(src, permissive=True)
+    load = load_trace(src, "jsonl", permissive=True)
     assert token_pairs(load.requests) == [(4, 2)]
     assert load.malformed_count == 3
 
@@ -113,7 +110,7 @@ def test_token_count_beyond_int64_is_malformed(tmp_path):
         {"input_tokens": huge, "output_tokens": 2},
         {"input_tokens": 4, "output_tokens": 2**63 - 1},
     ])
-    load = load_trace(src, permissive=True)
+    load = load_trace(src, "jsonl", permissive=True)
     assert token_pairs(load.requests) == [(4, 2**63 - 1)]
     assert [(e.line, e.message) for e in load.malformed] == [
         (1, f"column 'input_tokens' exceeds the int64 range: {huge}")]
@@ -131,7 +128,7 @@ def test_csv_field_over_the_csv_module_limit(tmp_path):
 def test_jsonl_non_object_row(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('[1, 2]\n{"input_tokens": 1, "output_tokens": 2}\n', encoding="utf-8")
-    load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
+    load = load_trace(str(path), "jsonl", permissive=True)
     assert token_pairs(load.requests) == [(1, 2)]
     assert load.malformed[0].line == 1
 
@@ -140,14 +137,14 @@ def test_jsonl_too_deeply_nested_row(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("[" * 200_000 + '\n{"input_tokens": 1, "output_tokens": 2}\n',
                     encoding="utf-8")
-    load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
+    load = load_trace(str(path), "jsonl", permissive=True)
     assert token_pairs(load.requests) == [(1, 2)]
     assert load.malformed[0].line == 1
 
 
 def test_stdin_trace(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("input_tokens,output_tokens\n9,1\n"))
-    load = load_trace(TraceSource(path="-", format="generic-csv"))
+    load = load_trace("-")
     assert token_pairs(load.requests) == [(9, 1)]
 
 
@@ -238,10 +235,9 @@ def test_jsonl_columns_do_not_depend_on_block_size(tmp_path, chunk_chars):
                           '{"input_tokens": 3}', ""][k % 5])
     path = tmp_path / "trace.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    source = TraceSource(path=str(path), format="jsonl")
-    want = load_trace(source, permissive=True)
+    want = load_trace(str(path), "jsonl", permissive=True)
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-        got = load_trace(source, permissive=True)
+        got = load_trace(str(path), "jsonl", permissive=True)
     assert got.requests.inputs.tolist() == want.requests.inputs.tolist()
     assert got.requests.outputs.tolist() == want.requests.outputs.tolist()
     assert got.malformed == want.malformed
@@ -261,7 +257,7 @@ def test_jsonl_line_numbers_across_line_ends_and_block_sizes(tmp_path, chunk_cha
     path = tmp_path / "trace.jsonl"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-        load = load_trace(TraceSource(path=str(path), format="jsonl"), permissive=True)
+        load = load_trace(str(path), "jsonl", permissive=True)
     assert load.requests.inputs.tolist() == [1, 3, 5]
     assert load.requests.outputs.tolist() == [2, 4, 6]
     assert [e.line for e in load.malformed] == [3, 7, 8]

@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from tokenwatt import TraceSource, ValidationError, load_trace
+from tokenwatt import ValidationError, load_trace
 from tokenwatt import ingest
 from conftest import token_pairs
 from oracles import oracle_parse_csv
@@ -64,7 +64,7 @@ def test_chunked_csv_matches_row_oracle(tmp_path, chunk_chars):
     @given(body=csv_bodies(), field_limit=st.sampled_from([csv.field_size_limit(), 16]))
     def check(body, field_limit):
         path.write_text(body, encoding="utf-8", newline="")
-        source = TraceSource(path=str(path), format="generic-csv")
+        source = str(path)
         default_limit = csv.field_size_limit(field_limit)
         try:
             try:
@@ -98,7 +98,7 @@ def test_sifted_chunks_match_row_oracle(tmp_path, chunk_chars):
         path.write_text(body, encoding="utf-8", newline="")
         rows, errors = oracle_parse_csv(body)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
-            load = load_trace(TraceSource(path=str(path), format="generic-csv"), permissive=True)
+            load = load_trace(str(path), permissive=True)
         cols = load.requests
         assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
         assert [(e.line, e.message) for e in load.malformed] == errors
@@ -162,7 +162,7 @@ def test_line_numbers_after_blank_lines_and_lone_cr(tmp_path, body, bad_line):
 def _csv_source(tmp_path, text):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    return TraceSource(path=str(path), format="generic-csv")
+    return str(path)
 
 
 def test_header_only_trace_is_empty(tmp_path):

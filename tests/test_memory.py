@@ -12,8 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tokenwatt import (DEFAULT_GRID, RequestColumns, TraceSource, bin_arrays, compute_stats,
-                       load_trace)
+from tokenwatt import DEFAULT_GRID, RequestColumns, bin_arrays, compute_stats, load_trace
 from tokenwatt import binning, ingest
 
 
@@ -68,7 +67,7 @@ def test_loading_allocates_the_columns_and_one_block(tmp_path, columns):
         f"{i},{o}\n" for i, o in zip(inputs.tolist(), outputs.tolist())), encoding="utf-8")
     column_bytes = inputs.nbytes + outputs.nbytes
     load = []
-    peak = _traced_peak(lambda: load.append(load_trace(TraceSource(str(path), "generic-csv"))))
+    peak = _traced_peak(lambda: load.append(load_trace(str(path))))
     assert load[0].requests.inputs.tolist() == inputs.tolist()
     # a block's text, its UCS-4 copy and its tokens take about 5 bytes per
     # character; joining per-block parts at the end would take 1.5 columns

@@ -7,7 +7,8 @@ import types
 from pathlib import Path
 
 import tokenwatt
-from tokenwatt import DEFAULT_GRID, HardwareSpec, ModelConfig, synthesize_table, write_table
+from tokenwatt import (DEFAULT_GRID, HardwareSpec, ModelConfig, bin_workload, synthesize_table,
+                       write_table)
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -20,16 +21,22 @@ def _library_use_block() -> str:
 
 
 def test_library_use_block_runs(tmp_path, monkeypatch):
-    # the block loads `energy.csv` from the working directory and prices on
-    # backend vllm, device A100; the table's model need not be the block's
+    # the block loads `trace.csv` and `energy.csv` from the working directory
+    # and prices on backend vllm, device A100; the table's model need not be
+    # the block's
     hw = HardwareSpec(name="A100", tdp=300.0, peak_flops=309.7e12)
     model = ModelConfig(n_layers=2, d_model=64, n_heads=4, n_kv_heads=2, d_ff=128,
                         vocab_size=100)
     write_table(synthesize_table(DEFAULT_GRID, model, hw, efficiency=0.5, decode_penalty=2.0,
                                  backend="vllm"), tmp_path / "energy.csv")
+    (tmp_path / "trace.csv").write_text(
+        "Timestamp,Request tokens,Response tokens\n0,215,7\n1,929,x\n2,929,41\n",
+        encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     names: dict = {}
     exec(compile(_library_use_block(), str(README), "exec"), names)
+    assert names["load"].malformed_count == 1
+    assert names["workload"] == bin_workload(names["trace"])
     assert names["workload"].total_requests == 2
     assert names["est"].total.joules > 0 and names["bound"].joules > 0
     assert [e.label for e in names["report"].entries] == ["vllm"]
@@ -41,4 +48,4 @@ def test_all_lists_every_public_name_of_the_package_root():
     assert len(tokenwatt.__all__) == len(set(tokenwatt.__all__))
     assert set(tokenwatt.__all__) == public | {"__version__"}
     assert "RequestColumns" in public
-    assert not {"Request", "map_to_bin", "Overflow"} & public
+    assert not {"Request", "map_to_bin", "Overflow", "TraceSource"} & public

@@ -6,6 +6,7 @@ import tokenwatt.cli as cli
 from tokenwatt import (
     Bin,
     BinGrid,
+    CoverageReport,
     DEFAULT_GRID,
     SweepPlan,
     ValidationError,
@@ -74,6 +75,25 @@ def test_plan_validation():
     with pytest.raises(ValidationError, match="pin exactly"):
         SweepPlan(axis="input_length", fixed={"output_length": 64},
                   points=(32,))
+
+
+@pytest.mark.parametrize("points,message", [
+    ((), "points must be non-empty"),
+    ((0, 1), "points must be positive, got (0, 1)"),
+    ((8, 8), "points must be strictly increasing, got (8, 8)"),
+])
+def test_plan_points_follow_the_grid_caps_rule(points, message):
+    # one rule, and one wording, for a grid's caps and a plan's points
+    with pytest.raises(ValidationError) as exc:
+        SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
+                  points=points)
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        BinGrid(input_bins=points)
+    assert str(exc.value) == message.replace("points", "input_bins")
+    plan = SweepPlan(axis="batch_size", fixed={"input_length": 32, "output_length": 8},
+                     points=[1, 2])
+    assert plan.points == (1, 2)
 
 
 def test_plan_samples_follow_batch_threshold():
@@ -204,6 +224,14 @@ def test_coverage_full_on_synthesized_table(toy_model, a100):
     report = validate_table_against_plan(table, default_sweep_plans())
     assert report.full_coverage
     assert report.missing[("synthetic", "A100-PCIe")] == ()
+
+
+def test_coverage_needs_a_configuration():
+    planned = ((32, 8),)
+    assert not CoverageReport(planned).full_coverage
+    assert CoverageReport(planned, {("vllm", "A100"): ()}).full_coverage
+    assert not CoverageReport(planned, {("vllm", "A100"): (), ("hf", "A100"): planned}
+                              ).full_coverage
 
 
 def test_coverage_reports_missing_point(toy_model, a100):
