@@ -54,12 +54,10 @@ from .report import (
     TraceReport,
     compare,
     emit_report,
-    pct_delta_pair_savings,
 )
 from .sweep import (
     CoverageReport,
     SweepPlan,
-    grid_covered_by_plans,
     default_sweep_plans,
     read_plan,
     validate_table_against_plan,
@@ -90,8 +88,7 @@ __all__ = [
     "load_trace", "summarize_trace",
     "BaselineReport", "Comparison", "ComparisonEntry", "REPORT_FORMATS",
     "SCHEMA_VERSION", "TraceReport", "compare", "emit_report",
-    "pct_delta_pair_savings",
-    "CoverageReport", "SweepPlan", "grid_covered_by_plans", "default_sweep_plans",
+    "CoverageReport", "SweepPlan", "default_sweep_plans",
     "read_plan", "validate_table_against_plan", "write_plans",
     "MeasurementRecord", "MeasurementTable", "TableMetadata",
     "default_kv_bytes_per_token", "load_table", "lookup", "synthesize_table",

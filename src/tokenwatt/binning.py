@@ -12,7 +12,8 @@ downstream reports.
 from __future__ import annotations
 
 from ._frozen import factory, frozen
-from .core import Bin, BinGrid, RequestColumns, ValidationError, parse_int, parse_value
+from .core import (DEFAULT_GRID, Bin, BinGrid, RequestColumns, ValidationError, parse_int,
+                   parse_value)
 from .csvio import format_csv, grid_meta, read_csv, write_csv
 
 _BIN_SLICE = 1 << 16
@@ -37,16 +38,8 @@ class BinnedWorkload:
                 raise ValidationError(f"count for bin {b} must be nonnegative, got {c}")
 
     @property
-    def total_binned(self) -> int:
-        return sum(self.counts.values())
-
-    @property
     def total_excluded(self) -> int:
         return self.excluded_input + self.excluded_output
-
-    @property
-    def total_requests(self) -> int:
-        return self.total_binned + self.total_excluded
 
     def sorted_counts(self) -> list[tuple[Bin, int]]:
         """(bin, count) pairs in (input_cap, output_cap) order, zero bins dropped."""
@@ -102,7 +95,7 @@ def bin_arrays(inputs: np.ndarray, outputs: np.ndarray, grid: BinGrid) -> Binned
 
 def bin_workload(columns: RequestColumns, grid: BinGrid | None = None) -> BinnedWorkload:
     """Histogram a trace's token columns over the grid (default grid if omitted)."""
-    return bin_arrays(columns.inputs, columns.outputs, grid or BinGrid())
+    return bin_arrays(columns.inputs, columns.outputs, grid or DEFAULT_GRID)
 
 
 BINNED_COLUMNS = ("input_cap", "output_cap", "count")

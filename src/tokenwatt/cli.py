@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
-from .core import (INT64_MAX, BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError,
-                   open_text, parse_caps, parse_value)
+from .core import (DEFAULT_GRID, INT64_MAX, BinGrid, Energy, HardwareSpec, ModelConfig,
+                   ValidationError, open_text, parse_caps, parse_value)
 from .estimator import ESTIMATE_MODES, estimate
 from .flops import idealized_energy, joules_per_flop, workload_flops
 from .ingest import TRACE_FORMATS, load_trace, summarize_trace
@@ -56,7 +56,7 @@ def parse_grid(spec: str | None) -> BinGrid:
     """Grid flag syntax: 'I1,I2,...:O1,O2,...'. Each side is a caps list,
     read by parse_caps (parse_value words its errors) and checked by BinGrid."""
     if spec is None:
-        return BinGrid()
+        return DEFAULT_GRID
     if ":" not in spec:
         raise ValidationError(f"grid spec must be 'I1,I2,...:O1,O2,...', got {spec!r}")
     return BinGrid(*(parse_value(parse_caps, side, "grid spec") for side in spec.split(":", 1)))

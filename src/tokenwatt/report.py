@@ -149,12 +149,6 @@ def compare(
     )
 
 
-def pct_delta_pair_savings(delta_a: float, delta_b: float) -> float:
-    """Savings of b versus a when both are given as percent over a shared
-    baseline: 100 * (1 - (1 + db/100) / (1 + da/100))."""
-    return 100.0 * (1.0 - (1.0 + delta_b / 100.0) / (1.0 + delta_a / 100.0))
-
-
 def emit_report(obj, format: str = "json") -> str:
     """Serialize a report object deterministically; same object, same bytes."""
     if format not in REPORT_FORMATS:

@@ -8,11 +8,10 @@ measured grid aligned with the estimator's bin grid.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._frozen import factory, frozen
 from .core import (
-    BinGrid,
     ValidationError,
     check_caps,
     format_caps,
@@ -186,17 +185,6 @@ def read_plan(path) -> SweepPlan:
     return plan
 
 
-def grid_covered_by_plans(grid: BinGrid, plans: Iterable[SweepPlan]) -> bool:
-    """True when every grid cap appears on the corresponding swept axis.
-
-    Coverage is judged per axis over the union of plans: each input cap must
-    occur as an input point or fixed input, likewise for output caps.
-    """
-    pairs = [pair for plan in plans for pair in plan.pairs()]
-    return (set(grid.input_bins) <= {i for i, _ in pairs}
-            and set(grid.output_bins) <= {o for _, o in pairs})
-
-
 @frozen
 class CoverageReport:
     """Which planned on-grid points each (backend, device) has measured."""
@@ -230,13 +218,20 @@ def validate_table_against_plan(
     """Check a measurement table against planned points that fall on its grid.
 
     Points beyond the grid (a 32768-token sweep point against an 8192-cap
-    grid) are out of estimator reach and not required of the table.
+    grid) are out of estimator reach and not required of the table. A grid
+    that holds no planned point is a data error: the table could not be
+    checked.
     """
     grid = table.metadata.grid
     planned = {(i, o) for plan in plans for i, o in plan.pairs()
                if i in grid.input_bins and o in grid.output_bins}
-    missing = {}
-    for backend, device in table.configurations():
-        have = {(b.input_cap, b.output_cap) for b in table.bins_for(backend, device)}
-        missing[(backend, device)] = tuple(sorted(planned - have))
-    return CoverageReport(planned_points=tuple(sorted(planned)), missing=missing)
+    if not planned:
+        raise ValidationError(
+            f"no planned point falls on the table grid (input_bins = "
+            f"{format_caps(grid.input_bins)}, output_bins = {format_caps(grid.output_bins)})")
+    have: dict[tuple[str, str], set[tuple[int, int]]] = {}
+    for rec in table.records:
+        have.setdefault((rec.backend, rec.device), set()).add((rec.input_cap, rec.output_cap))
+    return CoverageReport(planned_points=tuple(sorted(planned)),
+                          missing={config: tuple(sorted(planned - cells))
+                                   for config, cells in have.items()})

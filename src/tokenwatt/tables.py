@@ -17,6 +17,7 @@ from ._frozen import frozen
 from .core import (
     Bin,
     BinGrid,
+    DEFAULT_GRID,
     Energy,
     HardwareSpec,
     J_PER_KWH,
@@ -24,7 +25,9 @@ from .core import (
     ModelConfig,
     ValidationError,
     joules_or_none,
+    parse_finite,
     parse_int,
+    parse_value,
 )
 from .csvio import format_csv, grid_meta, read_csv, write_csv
 from .flops import joules_per_flop, request_flops
@@ -93,10 +96,6 @@ class MeasurementRecord:
                     f"prefill+decode ({split} J) differs from batch_energy "
                     f"({self.batch_energy.joules} J) by more than 0.5%"
                 )
-
-    @property
-    def bin(self) -> Bin:
-        return Bin(self.input_cap, self.output_cap)
 
     @property
     def per_request_joules(self) -> float:
@@ -179,14 +178,6 @@ class MeasurementTable:
         object.__setattr__(self, "_configurations",
                            {config: _Configuration(recs) for config, recs in cells.items()})
 
-    def configurations(self) -> list[tuple[str, str]]:
-        """Sorted distinct (backend, device) pairs."""
-        return sorted(self._configurations)
-
-    def bins_for(self, backend: str, device: str) -> list[Bin]:
-        config = self._configurations.get((backend, device))
-        return [] if config is None else [Bin(i, o) for i, o in sorted(config.records)]
-
     def get(self, backend: str, device: str, b: Bin) -> Optional[MeasurementRecord]:
         config = self._configurations.get((backend, device))
         return None if config is None else config.records.get((b.input_cap, b.output_cap))
@@ -203,8 +194,10 @@ def lookup(
 
     Interpolation works in log-log space on per-request energy (and max
     batch) over the bracketing measured caps, degenerating to 1-D on a
-    measured row or column. Bins outside the measured bounding box, or with
-    a missing bracket corner, are errors.
+    measured row or column. A hole, a bin whose input and output caps are
+    both measured elsewhere, is bracketed on the input axis at its own output
+    cap. Bins outside the measured bounding box, or with a missing bracket
+    corner, are errors.
     """
     rec = table.get(backend, device, b)
     if rec is not None:
@@ -236,6 +229,9 @@ def _interpolate(table: MeasurementTable, backend: str, device: str, b: Bin) -> 
         raise ValidationError(f"no records for backend={backend!r} device={device!r}")
     i_lo, i_hi = _bracket(config.input_caps, b.input_cap, "input", b)
     o_lo, o_hi = _bracket(config.output_caps, b.output_cap, "output", b)
+    if i_lo == i_hi and o_lo == o_hi:  # a hole (see lookup)
+        i_lo, i_hi = _bracket([c for c in config.input_caps if c != b.input_cap],
+                              b.input_cap, "input", b)
     for ic in {i_lo, i_hi}:
         for oc in {o_lo, o_hi}:
             rec = config.records.get((ic, oc))
@@ -349,7 +345,7 @@ def load_table(path_or_buf) -> MeasurementTable:
     """
     f = read_csv(path_or_buf, TABLE_COLUMNS, "measurement table", _parse_record)
     metadata = TableMetadata(
-        grid=f.grid() or BinGrid(),
+        grid=f.grid() or DEFAULT_GRID,
         protocol_samples=f.meta_int("protocol_samples", PROTOCOL_SAMPLES),
         normalization_note=f.meta.get("normalization_note", NORMALIZATION_NOTE),
         padding_policy=f.meta.get("padding_policy", "unspecified"),
@@ -360,49 +356,33 @@ def load_table(path_or_buf) -> MeasurementTable:
 def _parse_record(fields: list[str], where: str) -> MeasurementRecord:
     (backend, device, input_cap, output_cap, max_batch, batch_energy, unit,
      prefill_energy, decode_energy, samples_measured, warmup_batches) = fields
-    factor = ENERGY_UNIT_FACTORS.get(unit)
-    if factor is None:
-        raise ValidationError(
-            f"{where}: energy_unit must be one of "
-            f"{sorted(ENERGY_UNIT_FACTORS)}, got {unit!r}"
-        )
-    # the columns are checked in this order, and the record's own checks
-    # after them, so a row with several faults reports the same one always
-    batch_energy = _energy(batch_energy, factor, "batch_energy", where)
-    if batch_energy is None:
-        raise ValidationError(f"{where}: batch_energy is required")
-    input_cap = _integer(input_cap, "input_cap", where)
-    output_cap = _integer(output_cap, "output_cap", where)
-    max_batch = _integer(max_batch, "max_batch", where)
-    prefill_energy = _energy(prefill_energy, factor, "prefill_energy", where)
-    decode_energy = _energy(decode_energy, factor, "decode_energy", where)
-    samples_measured = _integer(samples_measured, "samples_measured", where)
-    warmup_batches = _integer(warmup_batches, "warmup_batches", where)
+    # the columns are checked in this order (arguments are evaluated left to
+    # right), and the record's own checks after them, so a row with several
+    # faults reports the same one always
     try:
-        return _new_record(backend, device, input_cap, output_cap, max_batch, batch_energy,
-                           prefill_energy, decode_energy, samples_measured, warmup_batches,
-                           MEASURED)
+        factor = ENERGY_UNIT_FACTORS.get(unit)
+        if factor is None:
+            raise ValidationError(
+                f"energy_unit must be one of {sorted(ENERGY_UNIT_FACTORS)}, got {unit!r}")
+        batch_energy = _energy(batch_energy, factor, "batch_energy")
+        if batch_energy is None:
+            raise ValidationError("batch_energy is required")
+        return _new_record(backend, device, parse_value(parse_int, input_cap, "input_cap"),
+                           parse_value(parse_int, output_cap, "output_cap"),
+                           parse_value(parse_int, max_batch, "max_batch"), batch_energy,
+                           _energy(prefill_energy, factor, "prefill_energy"),
+                           _energy(decode_energy, factor, "decode_energy"),
+                           parse_value(parse_int, samples_measured, "samples_measured"),
+                           parse_value(parse_int, warmup_batches, "warmup_batches"), MEASURED)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _energy(raw: str, factor: float, col: str, where: str) -> Optional[Energy]:
+def _energy(raw: str, factor: float, col: str) -> Optional[Energy]:
     """The energy of a table field in unit `factor`, None when it is empty."""
     if raw == "":
         return None
-    try:
-        joules = float(raw) * factor
-    except ValueError:
-        raise ValidationError(f"{where}: {col} is not a number: {raw!r}") from None
-    if not 0 < joules < math.inf:
-        raise ValidationError(f"{where}: {col} must be positive and finite, got {raw!r}")
+    joules = parse_value(parse_finite, raw, col) * factor
+    if not 0 < joules < math.inf:  # a finite value in kWh can overflow
+        raise ValidationError(f"{col} must be positive and finite, got {raw!r}")
     return Energy(joules)
-
-
-def _integer(raw: str, col: str, where: str) -> int:
-    try:
-        return parse_int(raw)
-    except ValueError:
-        raise ValidationError(f"{where}: {col} is not an integer: {raw!r}") from None
-    except OverflowError:
-        raise ValidationError(f"{where}: {col} exceeds the int64 range: {raw}") from None

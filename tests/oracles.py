@@ -141,6 +141,9 @@ def oracle_lookup(table, backend: str, device: str, b: Bin) -> MeasurementRecord
         raise ValidationError(f"no records for backend={backend!r} device={device!r}")
     icaps = sorted({r.input_cap for r in measured})
     ocaps = sorted({r.output_cap for r in measured})
+    if b.input_cap in icaps and b.output_cap in ocaps:
+        # a hole: bracketed on the input axis, its own input cap left out
+        icaps.remove(b.input_cap)
     i_lo, i_hi = _oracle_bracket(icaps, b.input_cap, "input", b)
     o_lo, o_hi = _oracle_bracket(ocaps, b.output_cap, "output", b)
 

@@ -477,6 +477,18 @@ def test_validate_table_partial_coverage_exits_2(fixture_paths, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_validate_table_on_a_grid_without_planned_points_exits_2(tmp_path, capsys):
+    # no plan sweeps input 33 or output 9, so the one row covers nothing planned
+    table = tmp_path / "off_plan.csv"
+    table.write_text("# input_bins = 33\n# output_bins = 9\n" + FIXTURE_TABLE.split("\n", 1)[0]
+                     + "\nvllm,A100,33,9,4,100.0,J,,,1024,20\n", encoding="utf-8")
+    assert run("validate-table", "--table", str(table)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no planned point falls on the table grid "
+                            "(input_bins = 33, output_bins = 9)\n")
+
+
 def test_validate_table_without_rows_exits_2(tmp_path, capsys):
     # a header-only table covers none of the planned points
     table = tmp_path / "empty.csv"
@@ -659,8 +671,11 @@ def test_table_non_integer_protocol_samples_is_a_data_error(fixture_paths, capsy
     assert "'# protocol_samples' must be an integer" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
-def test_non_finite_table_energy_names_file_and_line(fixture_paths, capsys, value):
+@pytest.mark.parametrize("value, fault", [
+    ("nan", "must be a finite number, got 'nan'"), ("inf", "must be a finite number, got 'inf'"),
+    ("-inf", "must be a finite number, got '-inf'"),
+    ("1e308", "must be positive and finite, got '1e308'")])  # 1e308 kWh overflows to inf J
+def test_non_finite_table_energy_names_file_and_line(fixture_paths, capsys, value, fault):
     table = fixture_paths["table"]
     text = table.read_text(encoding="utf-8").replace("naive,A100,256,8,1,3.0,J",
                                                      f"naive,A100,256,8,1,{value},kWh")
@@ -668,7 +683,7 @@ def test_non_finite_table_energy_names_file_and_line(fixture_paths, capsys, valu
     assert run("estimate", "--trace", str(fixture_paths["trace"]), "--table", str(table),
                "--backend", "vllm", "--device", "A100") == 2
     err = _one_error_line(capsys)
-    assert f"{table}:4: batch_energy must be positive and finite" in err
+    assert err == f"error: {table}:4: batch_energy {fault}\n"
 
 
 def test_interpolating_next_to_a_zero_per_request_energy_is_a_data_error(tmp_path, capsys):

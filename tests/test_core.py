@@ -44,7 +44,8 @@ def test_request_validation():
     def bin_default(inputs, outputs):
         return bin_arrays(inputs, outputs, DEFAULT_GRID)
 
-    assert len(RequestColumns([0], [0])) == 1 and bin_default([0], [0]).total_requests == 1
+    w = bin_default([0], [0])
+    assert len(RequestColumns([0], [0])) == 1 and sum(w.counts.values()) + w.total_excluded == 1
     for make in (RequestColumns, bin_default):
         for bad in (1.5, 2.0, True, "3", None, 2**63, 10**23, -1, -(2**63)):
             for column in ([bad], [7, bad], np.array([bad])):

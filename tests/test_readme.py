@@ -37,7 +37,8 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     exec(compile(_library_use_block(), str(README), "exec"), names)
     assert names["load"].malformed_count == 1
     assert names["workload"] == bin_workload(names["trace"])
-    assert names["workload"].total_requests == 2
+    w = names["workload"]
+    assert sum(w.counts.values()) + w.total_excluded == 2
     assert names["est"].total.joules > 0 and names["bound"].joules > 0
     assert [e.label for e in names["report"].entries] == ["vllm"]
 

@@ -17,7 +17,6 @@ from tokenwatt import (
     compute_stats,
     emit_report,
     estimate,
-    pct_delta_pair_savings,
 )
 
 
@@ -76,12 +75,6 @@ def test_compare_validation():
                 optimal=Energy(1.0), reference_label="a")
     with pytest.raises(ValidationError, match="at least one"):
         compare([], optimal=Energy(1.0), reference_label="a")
-
-
-def test_pct_delta_pair_savings_frozen_values():
-    assert pct_delta_pair_savings(506.52, 63.75) == pytest.approx(73.0017147, abs=1e-6)
-    assert pct_delta_pair_savings(102.79, 26.59) == pytest.approx(37.5758173, abs=1e-6)
-    assert pct_delta_pair_savings(490.23, 64.22) == pytest.approx(72.1769480, abs=1e-6)
 
 
 def test_comparison_json_schema():

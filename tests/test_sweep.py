@@ -10,7 +10,6 @@ from tokenwatt import (
     DEFAULT_GRID,
     SweepPlan,
     ValidationError,
-    grid_covered_by_plans,
     default_sweep_plans,
     read_binned_csv,
     read_plan,
@@ -210,12 +209,10 @@ def test_read_plan_rejects_unknown_keys(tmp_path):
 
 
 def test_default_grid_covered_by_default_plans():
-    assert grid_covered_by_plans(DEFAULT_GRID, default_sweep_plans())
-
-
-def test_uncovered_grid_detected():
-    grid = BinGrid(input_bins=(32, 96), output_bins=(8,))
-    assert not grid_covered_by_plans(grid, default_sweep_plans())
+    # every cap of the default grid is swept on its own axis by some plan
+    pairs = {pair for plan in default_sweep_plans() for pair in plan.pairs()}
+    assert set(DEFAULT_GRID.input_bins) <= {i for i, _ in pairs}
+    assert set(DEFAULT_GRID.output_bins) <= {o for _, o in pairs}
 
 
 def test_coverage_full_on_synthesized_table(toy_model, a100):
@@ -223,6 +220,7 @@ def test_coverage_full_on_synthesized_table(toy_model, a100):
                              efficiency=1.0, decode_penalty=1.0)
     report = validate_table_against_plan(table, default_sweep_plans())
     assert report.full_coverage
+    assert len(report.planned_points) == 21
     assert report.missing[("synthetic", "A100-PCIe")] == ()
 
 
@@ -238,7 +236,8 @@ def test_coverage_reports_missing_point(toy_model, a100):
     table = synthesize_table(DEFAULT_GRID, toy_model, a100,
                              efficiency=1.0, decode_penalty=1.0)
     pruned = type(table)(
-        records=tuple(r for r in table.records if r.bin != Bin(512, 64)),
+        records=tuple(r for r in table.records
+                      if Bin(r.input_cap, r.output_cap) != Bin(512, 64)),
         metadata=table.metadata,
     )
     report = validate_table_against_plan(pruned, default_sweep_plans())

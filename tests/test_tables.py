@@ -75,8 +75,6 @@ def test_table_rejects_duplicates_and_off_grid():
 
 def test_table_queries():
     t = _table([_record(256, 8), _record(256, 16), _record(512, 8)])
-    assert t.configurations() == [("vllm", "A100")]
-    assert t.bins_for("vllm", "A100") == [Bin(256, 8), Bin(256, 16), Bin(512, 8)]
     assert t.get("vllm", "A100", Bin(256, 16)).input_cap == 256
     assert t.get("vllm", "A100", Bin(512, 64)) is None
 
@@ -140,6 +138,66 @@ def test_interpolation_missing_corner_errors():
         lookup(t, "vllm", "A100", Bin(256, 32), interpolate=True)
 
 
+HOLE_GRID = BinGrid(input_bins=(128, 256, 512), output_bins=(16, 32, 64))
+
+
+def _holed_table(*holes):
+    """A full table on HOLE_GRID, per-request energy input_cap / output_cap
+    joules, less the cells `holes`."""
+    return _table([_record(i, o, joules=i / o) for i, o in
+                   ((b.input_cap, b.output_cap) for b in HOLE_GRID.bins())
+                   if (i, o) not in holes], HOLE_GRID)
+
+
+def test_hole_interpolates_along_its_input_axis():
+    # (256, 32)'s row and column are measured elsewhere: it lies between
+    # (128, 32) at 4 J and (512, 32) at 16 J, at the log midpoint
+    rec = lookup(_holed_table((256, 32)), "vllm", "A100", Bin(256, 32), interpolate=True)
+    assert rec.provenance == "interpolated"
+    assert rec.per_request_joules == pytest.approx(8.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("holes, b, message", [
+    # a hole on the edge of the input caps has nothing on one side of it
+    (((128, 32),), Bin(128, 32), r"outside the hull of measured input caps \[256, 512\]"),
+    (((512, 64),), Bin(512, 64), r"outside the hull of measured input caps \[128, 256\]"),
+    # a missing input-axis neighbour is named, not the bin itself
+    (((256, 32), (512, 32)), Bin(256, 32), r"missing measured neighbor \(512, 32\)"),
+])
+def test_hole_without_input_axis_neighbours_names_them(holes, b, message):
+    with pytest.raises(ValidationError, match=message):
+        lookup(_holed_table(*holes), "vllm", "A100", b, interpolate=True)
+
+
+def test_table_less_one_interior_cell_interpolates_it_on_its_input_axis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    caps = st.lists(st.integers(1, 4096), min_size=1, max_size=6, unique=True).map(sorted)
+
+    @hypothesis.given(st.data(), caps.filter(lambda c: len(c) >= 3), caps)
+    def check(data, input_bins, output_bins):
+        grid = BinGrid(input_bins=tuple(input_bins), output_bins=tuple(output_bins))
+        k = data.draw(st.integers(1, len(input_bins) - 2))
+        o = data.draw(st.sampled_from(output_bins))
+        full = {(b.input_cap, b.output_cap): _record(b.input_cap, b.output_cap,
+                                                     max_batch=data.draw(st.integers(1, 512)),
+                                                     joules=data.draw(st.floats(1e-3, 1e6)))
+                for b in grid.bins()}
+        hole = full.pop((input_bins[k], o))
+        rec = lookup(_table(full.values(), grid), "vllm", "A100", Bin(hole.input_cap, o),
+                     interpolate=True)
+        lo, hi = full[(input_bins[k - 1], o)], full[(input_bins[k + 1], o)]
+        t = ((math.log(input_bins[k]) - math.log(input_bins[k - 1]))
+             / (math.log(input_bins[k + 1]) - math.log(input_bins[k - 1])))
+        assert rec.provenance == "interpolated"
+        assert rec.per_request_joules == pytest.approx(math.exp(
+            (1 - t) * math.log(lo.per_request_joules) + t * math.log(hi.per_request_joules)),
+            rel=1e-9)
+        assert min(lo.max_batch, hi.max_batch) <= rec.max_batch <= max(lo.max_batch, hi.max_batch)
+
+    check()
+
+
 def test_indexed_lookup_matches_record_scan():
     # random sparse tables with several configurations: the per-configuration
     # index gives the records and error messages of a scan over every record
@@ -164,10 +222,8 @@ def test_indexed_lookup_matches_record_scan():
             for (backend, device), i, o in chosen
         ]
         table = MeasurementTable(records=tuple(records), metadata=TableMetadata(grid=grid))
-        assert table.configurations() == sorted({(r.backend, r.device) for r in records})
-        for backend, device in configs:
-            assert table.bins_for(backend, device) == sorted(
-                r.bin for r in records if (r.backend, r.device) == (backend, device))
+        for r in records:
+            assert table.get(r.backend, r.device, Bin(r.input_cap, r.output_cap)) is r
         for _ in range(4):
             backend, device = data.draw(st.sampled_from(configs))
             b = Bin(data.draw(st.sampled_from(input_bins)), data.draw(st.sampled_from(output_bins)))
@@ -207,8 +263,11 @@ def test_interpolation_stays_between_its_corners():
                 continue
             if rec.provenance != "interpolated":
                 continue
-            ins = {max(c for c in measured_in if c <= b.input_cap),
-                   min(c for c in measured_in if c >= b.input_cap)}
+            # a hole, both of whose caps are measured, has its input cap left out
+            hole = b.input_cap in measured_in and b.output_cap in measured_out
+            around = [c for c in measured_in if not (hole and c == b.input_cap)]
+            ins = {max(c for c in around if c <= b.input_cap),
+                   min(c for c in around if c >= b.input_cap)}
             outs = {max(c for c in measured_out if c <= b.output_cap),
                     min(c for c in measured_out if c >= b.output_cap)}
             corners = [table.get("vllm", "A100", Bin(i, o)) for i in ins for o in outs]
@@ -230,7 +289,10 @@ def test_write_load_roundtrip(tmp_path):
     write_table(t, path)
     back = load_table(path)
     assert back.metadata.grid == t.metadata.grid
-    assert sorted(back.records, key=lambda r: r.bin) == sorted(t.records, key=lambda r: r.bin)
+    def cell(r):
+        return Bin(r.input_cap, r.output_cap)
+
+    assert sorted(back.records, key=cell) == sorted(t.records, key=cell)
 
 
 def test_load_converts_units():
@@ -284,18 +346,20 @@ def _energy_row(col, value):
 # Every fault a table row can have, with the exact message it is reported by;
 # a row with two faults reports the one checked first.
 ROW_FAULTS = [
-    ("vllm,A100,x,8,1,2.0,J,,,1024,20", "input_cap is not an integer: 'x'"),
-    ("vllm,A100,256,8,1,2.0,J,x,1.0,1024,20", "prefill_energy is not a number: 'x'"),
+    ("vllm,A100,x,8,1,2.0,J,,,1024,20", "input_cap must be an integer, got 'x'"),
+    ("vllm,A100,256,8,1,2.0,J,x,1.0,1024,20", "prefill_energy must be a finite number, got 'x'"),
     (_row(energy_unit="BTU"), "energy_unit must be one of ['J', 'Wh', 'kWh'], got 'BTU'"),
     (_row(energy_unit=""), "energy_unit must be one of ['J', 'Wh', 'kWh'], got ''"),
-    *[(_row(**{col: "1.5"}), f"{col} is not an integer: '1.5'") for col in INTEGER_COLUMNS],
+    *[(_row(**{col: "1.5"}), f"{col} must be an integer, got '1.5'") for col in INTEGER_COLUMNS],
     *[(_row(**{col: OVER_INT64}), f"{col} exceeds the int64 range: {OVER_INT64}")
       for col in INTEGER_COLUMNS],
     (_row(max_batch=f"-{OVER_INT64}1"), f"max_batch exceeds the int64 range: -{OVER_INT64}1"),
     (_row(batch_energy=""), "batch_energy is required"),
-    (_row(batch_energy="abc"), "batch_energy is not a number: 'abc'"),
+    (_row(batch_energy="abc"), "batch_energy must be a finite number, got 'abc'"),
     *[(_energy_row(col, value), f"{col} must be positive and finite, got {value!r}")
-      for col in ENERGY_COLUMNS for value in ("0", "-1", "inf", "nan")],
+      for col in ENERGY_COLUMNS for value in ("0", "-1")],
+    *[(_energy_row(col, value), f"{col} must be a finite number, got {value!r}")
+      for col in ENERGY_COLUMNS for value in ("inf", "-inf", "nan")],
     (_row(batch_energy="1e305", energy_unit="kWh"),
      "batch_energy must be positive and finite, got '1e305'"),
     (_row(prefill_energy="1.0"), "prefill_energy and decode_energy must be given together"),
@@ -323,12 +387,13 @@ ROW_FAULTS = [
     (_row(batch_energy="0", input_cap="x"),
      "batch_energy must be positive and finite, got '0'"),
     (_row(batch_energy="", max_batch="x"), "batch_energy is required"),
-    (_row(input_cap="x", output_cap="y"), "input_cap is not an integer: 'x'"),
-    (_row(max_batch="x", prefill_energy="x"), "max_batch is not an integer: 'x'"),
+    (_row(input_cap="x", output_cap="y"), "input_cap must be an integer, got 'x'"),
+    (_row(max_batch="x", prefill_energy="x"), "max_batch must be an integer, got 'x'"),
     (_row(prefill_energy="0", decode_energy="x"),
      "prefill_energy must be positive and finite, got '0'"),
-    (_row(decode_energy="x", samples_measured="x"), "decode_energy is not a number: 'x'"),
-    (_row(samples_measured="0", warmup_batches="x"), "warmup_batches is not an integer: 'x'"),
+    (_row(decode_energy="x", samples_measured="x"),
+     "decode_energy must be a finite number, got 'x'"),
+    (_row(samples_measured="0", warmup_batches="x"), "warmup_batches must be an integer, got 'x'"),
     (_row(max_batch="0", samples_measured="0"), "max_batch must be >= 1, got 0"),
     (_row(samples_measured="0", warmup_batches="-1"), "samples_measured must be >= 1, got 0"),
     (_row(warmup_batches="-1", prefill_energy="1.0"), "warmup_batches must be >= 0, got -1"),
@@ -358,7 +423,7 @@ def test_synthesize_covers_grid(toy_model, a100):
     grid = BinGrid(input_bins=(32, 256), output_bins=(8, 64))
     t = synthesize_table(grid, toy_model, a100, efficiency=0.5, decode_penalty=2.0)
     assert len(t.records) == 4
-    assert t.configurations() == [("synthetic", "A100-PCIe")]
+    assert {(r.backend, r.device) for r in t.records} == {("synthetic", "A100-PCIe")}
     for b in grid.bins():
         assert t.get("synthetic", "A100-PCIe", b) is not None
 
