@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tokenwatt
 from tokenwatt import BinGrid, HardwareSpec, ModelConfig
 
 # Property tests draw the same examples on every run, with no time limit per
@@ -32,6 +36,16 @@ TOY_MODEL_CFG = (
     "d_ff = 8\nvocab_size = 10\n"
 )
 A100_CFG = "name = A100-PCIe\ntdp = 300\npeak_flops = 309.7e12\n"
+
+
+def cli_env() -> dict[str, str]:
+    """The environment of a `python -m tokenwatt` child. It may run in
+    another cwd, where a relative PYTHONPATH (say `src`) no longer points at
+    the package, so the root of the tokenwatt this suite imported goes
+    first: the child runs exactly the code under test."""
+    root = str(Path(tokenwatt.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (root, inherited))))
 
 
 def token_pairs(columns):

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import tokenwatt
 from tokenwatt import (
     Bin,
     BinGrid,
@@ -43,7 +42,7 @@ from tokenwatt import (
     summarize_trace,
     synthesize_table,
 )
-from conftest import A100_CFG, FIXTURE_TABLE, FIXTURE_TRACE, TOY_MODEL_CFG
+from conftest import A100_CFG, FIXTURE_TABLE, FIXTURE_TRACE, TOY_MODEL_CFG, cli_env
 from oracles import brute_force_flops, oracle_stats
 
 A100 = HardwareSpec(name="A100-PCIe", tdp=300.0, peak_flops=309.7e12)
@@ -256,20 +255,11 @@ def _criterion_9():
         assert abs(joint_total - split_total) <= 1e-9 * max(1.0, joint_total)
 
 
-def _cli_env() -> dict[str, str]:
-    # The child runs in a temporary cwd, where a relative PYTHONPATH (say
-    # `src`) no longer points at the package. Put the root of the tokenwatt
-    # this suite imported first, so the child runs exactly the code under test.
-    root = str(Path(tokenwatt.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (root, inherited))))
-
-
 def _run_cli(args, cwd) -> bytes:
     # a hung child raises TimeoutExpired, whose message names the full command
     proc = subprocess.run(
         [sys.executable, "-m", "tokenwatt", *args],
-        cwd=cwd, env=_cli_env(), capture_output=True, timeout=60,
+        cwd=cwd, env=cli_env(), capture_output=True, timeout=60,
     )
     assert proc.returncode == 0, (
         f"tokenwatt {' '.join(args)}: exit {proc.returncode}\n{proc.stderr.decode()}"

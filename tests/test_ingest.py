@@ -211,18 +211,28 @@ def test_stats_match_exact_fractions():
     check()
 
 
-@pytest.mark.parametrize("top", [ingest._STATS_INT64_BOUND - 1, ingest._STATS_INT64_BOUND])
+@pytest.mark.parametrize("top", [
+    255, 256, 65_535, 65_536, 2**32 - 1, 2**32, 2**63 - 1,
+    ingest._STATS_INT64_BOUND - 1, ingest._STATS_INT64_BOUND])
 def test_stats_are_exact_at_the_int64_sum_bound(top):
-    # slices of values below the bound are summed in int64, the rest as
-    # Python ints; a slice of the largest values either way sums exactly,
+    # the sorted copy takes the narrowest unsigned type that holds `top`, so
+    # each top is the largest value of one type or the smallest of the next;
+    # full slices of top - 1 and of top overflow that type's sums and dot
+    # products. Slices below the int64 bound are summed in int64, the rest
+    # as Python ints; a slice of the largest values either way sums exactly,
     # though 8192 squares of 2**25 reach 2**63
-    xs = [top] * (2 * ingest._STATS_SLICE) + [0, 1, top - 1]
-    s = compute_stats(np.array(xs, dtype=np.int64))
-    n = len(xs)
+    xs = [top] * (2 * ingest._STATS_SLICE) + [0, 1, top - 1] * ingest._STATS_SLICE
+    column = np.array(xs, dtype=np.int64)
+    s = compute_stats(column)
+    n, ordered = len(xs), sorted(xs)
     var = Fraction(n * sum(x * x for x in xs) - sum(xs) ** 2, n * n)
     assert s.mean == float(Fraction(sum(xs), n))
     below, above = math.nextafter(s.std, 0), math.nextafter(s.std, math.inf)
     assert Fraction(below) ** 2 <= var <= Fraction(above) ** 2
+    assert s.median == float(ordered[(n - 1) // 2]) == float(top - 1)
+    assert s.p99 == float(ordered[math.ceil(Fraction(99 * n, 100)) - 1])
+    assert s.max == top and type(s.max) is int
+    assert column.tolist() == xs  # the caller's column is not sorted
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 2, 100])

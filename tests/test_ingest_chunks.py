@@ -107,7 +107,8 @@ def test_sifted_chunks_match_row_oracle(tmp_path, chunk_chars):
 
 
 def test_sift_checks_only_the_refused_lines(tmp_path):
-    # 65,536 lines make a block of the default size and then some
+    # 65,536 lines span five blocks of the default size; the one that holds
+    # the bad line is sifted, and the others take one loadtxt call each
     lines = [f"{k},{k % 97}" for k in range(1 << 16)]
     lines[40_000] = "7,x"
     source = _csv_source(tmp_path, "input_tokens,output_tokens\n" + "\n".join(lines) + "\n")
