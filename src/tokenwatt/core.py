@@ -35,14 +35,17 @@ class ValidationError(ValueError):
 
 
 def token_column(values: Any, name: str) -> np.ndarray:
-    """`values`, an array or a sequence of token counts, as a 1-D int64 array.
+    """`values`, an array or a sequence of token counts, as a 1-D uint32 or
+    int64 array.
 
     Nothing is truncated or wrapped: a column that is not 1-D, values that
     are not integers (a float, bool, string or object array, or a bool in a
     sequence) and values outside 0..INT64_MAX are data errors. An empty
-    column of any dtype is an empty int64 column, and an int64 array comes
-    back as itself after one `min` pass. numpy is imported here, not at
-    module level, so the commands that read no trace never load it.
+    column of any dtype is an empty int64 column. A uint32 array, which can
+    hold no value outside that range, comes back as itself unchecked, and an
+    int64 array as itself after one `min` pass; any other dtype becomes
+    int64. numpy is imported here, not at module level, so the commands that
+    read no trace never load it.
     """
     import numpy as np
 
@@ -56,6 +59,8 @@ def token_column(values: Any, name: str) -> np.ndarray:
         dtype = np.dtype(bool)  # numpy reads [1, True] as int64
     if dtype.kind not in "iu":
         raise ValidationError(f"{name} must be integers within int64, got dtype {dtype}")
+    if dtype == np.uint32:
+        return column
     extreme = column.max() if dtype.kind == "u" else column.min()
     if not 0 <= extreme <= INT64_MAX:
         raise ValidationError(f"{name} must be nonnegative integers within int64, got {extreme}")
@@ -64,11 +69,13 @@ def token_column(values: Any, name: str) -> np.ndarray:
 
 class RequestColumns:
     """A trace: the input and output token counts of its requests, in file
-    order, as two int64 columns of equal length (16 bytes per request).
+    order, as two columns of equal length. A loaded trace holds each column
+    as uint32 while every count in it is below 2**32, so 8 bytes per
+    request, and a column with a larger count as int64.
 
-    Both columns are checked by token_column, which holds an int64 array as
-    it is, not a copy; binning and statistics read `inputs` and `outputs`
-    directly. Neither can be reassigned or deleted once checked.
+    Both columns are checked by token_column, which holds a uint32 or int64
+    array as it is, not a copy; binning and statistics read `inputs` and
+    `outputs` directly. Neither can be reassigned or deleted once checked.
     """
 
     __setattr__ = _refuse_assignment

@@ -2,7 +2,8 @@
 
 Traces arrive as csv or jsonl with per-request input/output token counts
 already computed (no tokenization here). Parsing is streaming and
-single-pass into two int64 columns; malformed rows abort the run unless
+single-pass into two token columns, each uint32 until it meets a count of
+2**32 or more and int64 from then on; malformed rows abort the run unless
 permissive mode is on, in which case they are skipped and reported.
 
 A trace is read in text blocks of _CHUNK_CHARS characters, each completed
@@ -18,11 +19,11 @@ as csv.DictReader does. The others are sifted: the lines whose two token
 fields are plain 1-18 digit numbers go through one more loadtxt call, held
 to the same rule, and only the others, blank lines included, are checked
 one row at a time as the row parser checks them; the valid ones among
-those (such as ` 7 ` or `+4`) are put back in file order. Each block's
-tokens go straight into two growing int64 columns, so a load holds about
-its columns and one block. A block is 131,072 characters, about 2,900
-BurstGPT rows: a sifted load of 300,000 such rows allocates 1.7 MB beyond
-its 4.8 MB of columns, and 4.5 MB with blocks four times as large. A jsonl
+those (such as ` 7 ` or `+4`) are put back in file order. Every parser
+gives int64 tokens, and each block's go straight into the two growing
+columns, so a load holds about its columns and one block. A block is
+131,072 characters, about 2,900 BurstGPT rows: a sifted load of 300,000
+such rows allocates 1.5 MB beyond its 2.4 MB of uint32 columns. A jsonl
 trace is read in the same text blocks into the same columns; each block is
 split into lines as a csv block is, and each line that is not blank is read
 as one json object.
@@ -50,6 +51,7 @@ from .core import INT64_MAX, RequestColumns, ValidationError, open_text, token_c
 TRACE_FORMATS = ("generic-csv", "jsonl")
 
 _CHUNK_CHARS = 1 << 17
+_UINT32_MAX = (1 << 32) - 1
 _STATS_SLICE = 1 << 13
 # A slice whose values are all below this bound has sums of values and of
 # squares below _STATS_SLICE * (2**25 - 1)**2 < 2**63, exact in int64.
@@ -91,7 +93,8 @@ class TraceStats:
 def load_trace(path: str, format: str = "generic-csv", input_column: str = "input_tokens",
                output_column: str = "output_tokens", permissive: bool = False) -> TraceLoad:
     """Parse the trace file at `path` (read by core.open_text, so `-` is
-    stdin) into its two int64 token columns.
+    stdin) into its two token columns, each uint32 while all its counts are
+    below 2**32, else int64.
 
     `format` is one of TRACE_FORMATS; another is refused before the file is
     opened. The token counts are read from the csv columns, or jsonl members,
@@ -292,21 +295,26 @@ def _row_tokens(row: list[str], line: int, columns, malformed: list[RowError]):
 
 
 class _Column:
-    """An int64 column that token values are appended to.
+    """A column that int64 blocks of token values are appended to.
 
-    It grows in place by an eighth at a time: ndarray.resize reallocates,
-    which for a large array remaps its pages rather than copying them. So
-    the column holds at most about 1.125 times its values, and a finished
-    trace is never held twice, as joining per-block parts would hold it.
+    It is uint32, 4 bytes a value, until a block holds a value of 2**32 or
+    more; then the values held so far are converted to int64 once, which
+    holds both copies for that moment, and it stays int64. It grows in place
+    by an eighth at a time: ndarray.resize reallocates, which for a large
+    array remaps its pages rather than copying them. So the column holds at
+    most about 1.125 times its values, and a finished trace is never held
+    twice, as joining per-block parts would hold it.
     """
 
     def __init__(self) -> None:
         import numpy as np
 
-        self.values = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=np.uint32)
         self.size = 0
 
     def extend(self, part) -> None:
+        if self.values.dtype != part.dtype and part.max(initial=0) > _UINT32_MAX:
+            self.values = self.values[:self.size].astype(part.dtype)  # int64, as every block
         end = self.size + len(part)
         if end > len(self.values):
             self.values.resize(max(end, len(self.values) * 9 // 8), refcheck=False)
@@ -351,7 +359,8 @@ def _parse_jsonl_block(names: tuple[str, str], malformed: list[RowError], block:
 
 
 def compute_stats(values: Sequence[int] | np.ndarray) -> TraceStats:
-    """Summarize a column of token counts, checked by core.token_column.
+    """Summarize a column of token counts, checked by core.token_column (so
+    a uint32 column of a loaded trace is read as it is).
 
     Median uses the lower middle element for even counts and p99 is the
     nearest-rank (no interpolation) percentile, so both stay integers for

@@ -70,8 +70,12 @@ def test_request_validation():
 def test_token_column_keeps_every_integer_dtype(dtype):
     info = np.iinfo(dtype)
     high = min(info.max, 2**63 - 1)
-    column = token_column(np.array([0, 1, high], dtype=dtype), "tokens")
-    assert column.dtype == np.int64 and column.tolist() == [0, 1, high]
+    given = np.array([0, 1, high], dtype=dtype)
+    column = token_column(given, "tokens")
+    # a uint32 column, as a loaded trace holds its counts below 2**32, is
+    # held as it is; every other dtype becomes int64
+    assert column is given if dtype is np.uint32 else column.dtype == np.int64
+    assert column.tolist() == [0, 1, high]
     if info.min < 0:
         with pytest.raises(ValidationError, match=f"got {info.min}"):
             token_column(np.array([5, info.min], dtype=dtype), "tokens")

@@ -10,13 +10,17 @@ import pytest
 
 from tokenwatt import ingest
 from tokenwatt import (
+    Bin,
+    BinGrid,
     RequestColumns,
     ValidationError,
+    bin_workload,
     compute_stats,
     load_trace,
     summarize_trace,
 )
 from conftest import token_pairs
+from oracles import INPUT_OVERFLOW, OUTPUT_OVERFLOW, oracle_map_to_bin, oracle_stats
 
 
 def _csv_source(tmp_path, text):
@@ -237,9 +241,12 @@ def test_stats_are_exact_at_the_int64_sum_bound(top):
 
 @pytest.mark.parametrize("chunk_chars", [1, 2, 100])
 def test_jsonl_columns_do_not_depend_on_block_size(tmp_path, chunk_chars):
+    # one input count of 2**32 late in the trace makes the input column
+    # int64, the output column stays uint32
     lines = []
     for k in range(40):
-        lines.append(json.dumps({"input_tokens": k * 31, "output_tokens": k % 5}))
+        lines.append(json.dumps({"input_tokens": 2**32 if k == 33 else k * 31,
+                                 "output_tokens": k % 5}))
         if k % 6 == 2:
             lines.append(["{", "[1, 2]", '{"input_tokens": -1, "output_tokens": 2}',
                           '{"input_tokens": 3}', ""][k % 5])
@@ -252,6 +259,72 @@ def test_jsonl_columns_do_not_depend_on_block_size(tmp_path, chunk_chars):
     assert got.requests.outputs.tolist() == want.requests.outputs.tolist()
     assert got.malformed == want.malformed
     assert len(want.requests) == 40 and len(want.malformed) == 6
+    assert got.requests.inputs.dtype == want.requests.inputs.dtype == np.int64
+    assert got.requests.outputs.dtype == want.requests.outputs.dtype == np.uint32
+
+
+UINT32_MAX = 2**32 - 1
+# caps on both sides of 2**32, so that binning compares uint32 counts with
+# int64 caps there; the largest counts are excluded
+_WIDE_GRID = BinGrid(input_bins=(32, UINT32_MAX, 2**32, 2**40),
+                     output_bins=(8, UINT32_MAX, 2**62))
+
+
+def _trace_text(pairs, parse_path: str) -> str:
+    """`pairs` as a trace whose every block of a few lines takes `parse_path`."""
+    if parse_path == "jsonl":
+        return "".join(json.dumps({"input_tokens": i, "output_tokens": o}) + "\n"
+                       for i, o in pairs)
+    if parse_path == "fast":
+        rows = [f"{i},{o}\n" for i, o in pairs]
+    elif parse_path == "sifted":
+        # a blank line after every other row, and every third count padded,
+        # so that the row check reads it
+        rows = [(f" {i} ,{o}\n" if k % 3 == 0 else f"{i},{o}\n") + "\n" * (k % 2)
+                for k, (i, o) in enumerate(pairs)]
+    else:  # quoted: the row parser reads every block
+        rows = [f'"{i}",{o}\n' for i, o in pairs]
+    return "input_tokens,output_tokens\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("wide", ["inputs", "outputs", None])
+@pytest.mark.parametrize("parse_path", ["fast", "sifted", "quoted", "jsonl"])
+def test_a_count_past_uint32_widens_only_its_own_column(tmp_path, parse_path, wide):
+    # 60 rows in blocks of a few lines; 2**32 - 1 in an early block stays
+    # uint32, and 2**32 (on a padded row when sifted) and INT64_MAX in later
+    # blocks make their column int64 from there, every value exact
+    pairs = [(k * 37 % 1000, k % 7) for k in range(60)]
+    pairs[10] = (UINT32_MAX, UINT32_MAX)
+    if wide is not None:
+        side = ("inputs", "outputs").index(wide)
+        for k, count in ((30, 2**32), (47, 2**63 - 1)):
+            row = list(pairs[k])
+            row[side] = count
+            pairs[k] = tuple(row)
+    path = tmp_path / "trace"
+    path.write_text(_trace_text(pairs, parse_path), encoding="utf-8")
+    fmt = "jsonl" if parse_path == "jsonl" else "generic-csv"
+    with mock.patch.object(ingest, "_CHUNK_CHARS", 40), \
+            mock.patch.object(ingest, "_sift", wraps=ingest._sift) as sift, \
+            mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as parse_rows:
+        cols = load_trace(str(path), fmt).requests
+    assert (sift.called, parse_rows.called) == (parse_path == "sifted", parse_path == "quoted")
+    assert token_pairs(cols) == pairs
+    assert cols.inputs.dtype == (np.int64 if wide == "inputs" else np.uint32)
+    assert cols.outputs.dtype == (np.int64 if wide == "outputs" else np.uint32)
+
+    workload = bin_workload(cols, _WIDE_GRID)
+    targets = [oracle_map_to_bin(i, o, _WIDE_GRID) for i, o in pairs]
+    assert workload.excluded_input == targets.count(INPUT_OVERFLOW)
+    assert workload.excluded_output == targets.count(OUTPUT_OVERFLOW)
+    assert workload.counts == {t: targets.count(t) for t in targets if isinstance(t, Bin)}
+    for got, values in zip(summarize_trace(cols), zip(*pairs)):
+        want = oracle_stats(values)
+        assert (got.count, got.median, got.p99, got.max) == \
+            (want["count"], float(want["median"]), float(want["p99"]), want["max"])
+        assert got.mean == want["mean"]
+        assert math.isclose(got.std, want["std"], rel_tol=1e-9)
+    assert token_pairs(cols) == pairs  # statistics sort a copy
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 5, 40, 1 << 19])

@@ -15,6 +15,7 @@ import csv
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -33,11 +34,13 @@ _ODD = st.sampled_from([
     "99999999999999999999999", "9223372036854775807", "9223372036854775808",
     "00000000000000000042",
 ])
+# counts on both sides of the uint32 limit, which widen their column alone
+_WIDE = st.sampled_from(["4294967295", "4294967296", "9223372036854775807"])
 _QUOTED = st.text(alphabet='0123456789,\r\n x"', max_size=6).map(
     lambda t: '"' + t.replace('"', '""') + '"')
 _STRAY_QUOTE = st.sampled_from(['"', '4"2', '"7'])
-_CELL = st.one_of(_GOOD, _GOOD, _ODD, _QUOTED, _STRAY_QUOTE)
-_UNQUOTED_CELL = st.one_of(_GOOD, _GOOD, _ODD)
+_CELL = st.one_of(_GOOD, _GOOD, _ODD, _WIDE, _QUOTED, _STRAY_QUOTE)
+_UNQUOTED_CELL = st.one_of(_GOOD, _GOOD, _ODD, _WIDE)
 _EOL = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -53,6 +56,18 @@ def csv_bodies(draw, cell=_CELL) -> str:
         lines.append(",".join(draw(st.lists(cell, min_size=width, max_size=width))))
     body = "".join(line + draw(_EOL) for line in lines)
     return body if draw(st.booleans()) else body.rstrip("\r\n")
+
+
+def _check_load(load, rows, errors):
+    """`load` holds the oracle's `rows` and `errors`, and each token column
+    is uint32 exactly when it is not empty and all its counts are below
+    2**32."""
+    cols = load.requests
+    assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
+    assert [(e.line, e.message) for e in load.malformed] == errors
+    for column, counts in ((cols.inputs, [i for i, _ in rows]),
+                           (cols.outputs, [o for _, o in rows])):
+        assert column.dtype == (np.uint32 if counts and max(counts) < 2**32 else np.int64)
 
 
 @pytest.mark.parametrize("chunk_chars", CHUNK_CHARS)
@@ -78,9 +93,7 @@ def test_chunked_csv_matches_row_oracle(tmp_path, chunk_chars):
                 load = load_trace(source, permissive=True)
         finally:
             csv.field_size_limit(default_limit)
-        cols = load.requests
-        assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
-        assert [(e.line, e.message) for e in load.malformed] == errors
+        _check_load(load, rows, errors)
 
     check()
 
@@ -99,9 +112,7 @@ def test_sifted_chunks_match_row_oracle(tmp_path, chunk_chars):
         rows, errors = oracle_parse_csv(body)
         with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
             load = load_trace(str(path), permissive=True)
-        cols = load.requests
-        assert list(zip(cols.inputs.tolist(), cols.outputs.tolist())) == rows
-        assert [(e.line, e.message) for e in load.malformed] == errors
+        _check_load(load, rows, errors)
 
     check()
 

@@ -2,11 +2,12 @@
 counts numpy's array buffers as well as Python objects, and as the peak RSS
 of whole `tokenwatt` processes.
 
-A trace command holds the two int64 token columns of its trace. Reading
-them adds at most one text block's worth of temporaries and a little growth
-room, binning adds temporaries of one slice, not of the trace, and
-statistics one sorted copy of a column, in the narrowest unsigned type that
-holds its values, and one slice's temporaries.
+A trace command holds the two token columns of its trace, uint32 while
+every count fits, so 8 bytes per request. Reading them adds at most one text
+block's worth of temporaries and a little growth room, binning adds
+temporaries of one slice, not of the trace, and statistics one sorted copy
+of a column, in the narrowest unsigned type that holds its values, and one
+slice's temporaries.
 """
 
 import subprocess
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenwatt import DEFAULT_GRID, RequestColumns, bin_arrays, compute_stats, load_trace
+from tokenwatt import (DEFAULT_GRID, RequestColumns, bin_arrays, compute_stats, load_trace,
+                       synthesize_table, write_table)
 from tokenwatt import binning, ingest
 
 from conftest import cli_env
@@ -83,6 +85,14 @@ def test_checking_int64_columns_copies_nothing(columns):
     assert _traced_peak(lambda: RequestColumns(*columns)) <= 4096
 
 
+def test_checking_uint32_columns_copies_nothing(columns):
+    # a uint32 column needs no check at all; an int64 copy would take 3.2 MB
+    inputs, outputs = (c.astype(np.uint32) for c in columns)
+    cols = []
+    assert _traced_peak(lambda: cols.append(RequestColumns(inputs, outputs))) <= 4096
+    assert cols[0].inputs is inputs and cols[0].outputs is outputs
+
+
 @pytest.mark.parametrize("values", ["lognormal", "all distinct"])
 def test_stats_allocate_about_one_column_copy(columns, values):
     inputs = columns[0] if values == "lognormal" else \
@@ -104,16 +114,19 @@ def test_loading_allocates_the_columns_and_one_block(tmp_path, columns, shape):
     path = tmp_path / "trace.csv"
     kept = _write_trace(path, inputs, outputs, shape)
     options = {} if shape == "clean" else dict(BURSTGPT_COLUMNS, permissive=True)
-    column_bytes = inputs.nbytes + outputs.nbytes
     load = []
     peak = _traced_peak(lambda: load.append(load_trace(str(path), **options)))
     requests = load[0].requests
     assert (requests.inputs.tolist(), requests.outputs.tolist()) == kept
     assert load[0].malformed_count == len(inputs) - len(kept[0])
-    # a block's text, its UCS-4 copy and its tokens take about 5 bytes per
-    # character; joining per-block parts at the end would take 1.5 columns
-    # on its own, and keeping every line string for a while far more
-    assert peak <= 1.25 * column_bytes + 8 * ingest._CHUNK_CHARS
+    assert requests.inputs.dtype == requests.outputs.dtype == np.uint32
+    column_bytes = 4 * 2 * len(requests)
+    # the columns grow by an eighth at a time; a block's text, its UCS-4
+    # copy, its lines and its tokens take 7-9 bytes per character. Int64
+    # columns would take twice the bytes, joining per-block parts at the end
+    # 1.5 columns on its own, and keeping every line string for a while far
+    # more
+    assert peak <= 1.125 * column_bytes + 12 * ingest._CHUNK_CHARS
 
 
 # Each command is started by a small launcher that reads its peak RSS from
@@ -137,20 +150,27 @@ def _peak_rss(*args: str) -> int:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, inherited as on Linux")
-@pytest.mark.parametrize("command", ["stats", "bin"])
-def test_trace_command_holds_its_columns_and_a_fixed_working_set(tmp_path, columns, command):
-    # 300,000 BurstGPT rows hold 4.8 MB of columns. A command grows beyond
-    # `import numpy, tokenwatt.cli` by those and its working set (one text
-    # block, one slice, one narrow sorted copy): about 9 MB for stats and 7
-    # MB for bin; with 524,288-character blocks and an int64 sorted copy,
-    # 13-16 MB
+@pytest.mark.parametrize("command", ["stats", "bin", "estimate"])
+def test_trace_command_holds_its_columns_and_a_fixed_working_set(tmp_path, columns, command,
+                                                                  toy_model, a100):
+    # 300,000 BurstGPT rows hold 2.4 MB of uint32 columns. A command grows
+    # beyond `import numpy, tokenwatt.cli` by those and its working set (one
+    # text block, one slice, one narrow sorted copy, a default-grid table):
+    # 5.5-6.2 MB for stats and bin and 4-4.8 MB for estimate; with int64
+    # columns 6.9-8.3 MB
     rows = 300_000
     inputs, outputs = (c[:rows] for c in columns)
     path = tmp_path / "trace.csv"
     _write_trace(path, inputs, outputs, "BurstGPT")
+    pricing = []
+    if command == "estimate":
+        table = tmp_path / "table.csv"
+        write_table(synthesize_table(DEFAULT_GRID, toy_model, a100, efficiency=0.5,
+                                     decode_penalty=2.0, backend="vllm"), table)
+        pricing = ["--table", str(table), "--backend", "vllm", "--device", a100.name]
     base = _peak_rss("-c", "import numpy, tokenwatt.cli")
     peak = _peak_rss("-m", "tokenwatt", command, "--trace", str(path), "--permissive",
                      "--input-column", BURSTGPT_COLUMNS["input_column"],
                      "--output-column", BURSTGPT_COLUMNS["output_column"],
-                     "--out", str(tmp_path / command))
-    assert peak - base <= 20 * rows + (4 << 20)
+                     "--out", str(tmp_path / command), *pricing)
+    assert peak - base <= 8 * rows + (4 << 20)
