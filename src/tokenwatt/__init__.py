@@ -54,6 +54,7 @@ from .report import (
     TraceReport,
     compare,
     emit_report,
+    read_estimate,
 )
 from .sweep import (
     CoverageReport,
@@ -87,7 +88,7 @@ __all__ = [
     "TRACE_FORMATS", "TraceLoad", "TraceStats", "compute_stats",
     "load_trace", "summarize_trace",
     "BaselineReport", "Comparison", "ComparisonEntry", "REPORT_FORMATS",
-    "SCHEMA_VERSION", "TraceReport", "compare", "emit_report",
+    "SCHEMA_VERSION", "TraceReport", "compare", "emit_report", "read_estimate",
     "CoverageReport", "SweepPlan", "default_sweep_plans",
     "read_plan", "validate_table_against_plan", "write_plans",
     "MeasurementRecord", "MeasurementTable", "TableMetadata",

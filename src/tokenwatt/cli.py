@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import __version__
 from .binning import BinnedWorkload, bin_workload, read_binned_csv, write_binned_csv
-from .core import (DEFAULT_GRID, INT64_MAX, BinGrid, Energy, HardwareSpec, ModelConfig,
-                   ValidationError, open_text, parse_caps, parse_value)
+from .core import (DEFAULT_GRID, BinGrid, Energy, HardwareSpec, ModelConfig, ValidationError,
+                   parse_caps, parse_value)
 from .estimator import ESTIMATE_MODES, estimate
 from .flops import idealized_energy, joules_per_flop, workload_flops
 from .ingest import TRACE_FORMATS, load_trace, summarize_trace
@@ -30,6 +28,7 @@ from .report import (
     TraceReport,
     compare,
     emit_report,
+    read_estimate,
 )
 from .sweep import default_sweep_plans, format_plan, validate_table_against_plan, write_plans
 from .tables import load_table, synthesize_table, write_table
@@ -161,58 +160,14 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
-def _load_estimate_file(path: str) -> SimpleNamespace:
-    """The label, total, mode and excluded_requests of an estimate report,
-    which is what `compare` reads of an estimate. Each must have the json
-    type the report writes it with: a number is never read from a string or
-    a boolean, nor a count from a fraction."""
-    p = Path(path)
-    try:
-        with open_text(p, "estimate file") as stream:
-            payload = json.load(stream)
-    except ValidationError:
-        raise
-    except ValueError as exc:  # not json, or an integer too long for int()
-        raise ValidationError(f"{p}: not valid json ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("kind") != "estimate":
-        raise ValidationError(f"{p}: not an estimate report (kind != 'estimate')")
-    for key, what, valid in _ESTIMATE_FIELDS:
-        if key not in payload:
-            raise ValidationError(f"{p}: malformed estimate report (no {key!r})")
-        if not valid(payload[key]):
-            raise ValidationError(
-                f"{p}: malformed estimate report ({key} must be {what}, got {payload[key]!r})")
-    return SimpleNamespace(label=payload["label"], total=Energy(float(payload["total_j"])),
-                           mode=payload["mode"], excluded_requests=payload["excluded_requests"])
-
-
-def _is_joules(value) -> bool:
-    try:
-        return type(value) in (int, float) and 0 <= float(value) < math.inf
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
-# What compare reads of an estimate report: key, what it must be, its check.
-# bool is an int subclass, so types are compared exactly.
-_ESTIMATE_FIELDS = (
-    ("label", "a string", lambda v: type(v) is str),
-    ("total_j", "a finite nonnegative number", _is_joules),
-    ("mode", "a string", lambda v: type(v) is str),
-    ("excluded_requests", "an integer in [0, 2**63 - 1]",
-     lambda v: type(v) is int and 0 <= v <= INT64_MAX),
-)
-
-
 def cmd_compare(args) -> int:
     paths = [p for p in args.estimates.split(",") if p]
     if not paths:
         raise ValidationError("--estimates needs at least one file")
-    if not 0 <= args.baseline_j < math.inf:
-        raise ValidationError(
-            f"--baseline-j must be finite and nonnegative, got {args.baseline_j}")
+    if not 0 < args.baseline_j < math.inf:
+        raise ValidationError(f"--baseline-j must be positive and finite, got {args.baseline_j}")
     comparison = compare(
-        [_load_estimate_file(path) for path in paths],
+        [read_estimate(path) for path in paths],
         optimal=Energy(args.baseline_j),
         reference_label=args.reference,
         dataset=args.dataset or "",

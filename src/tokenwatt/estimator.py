@@ -90,10 +90,10 @@ def estimate(
 
     Every populated bin must resolve to a table record (exactly, or by
     interpolation when enabled); a miss is an error rather than a silent
-    undercount. An empty workload yields a zero-energy estimate.
+    undercount. An empty workload yields a zero-energy estimate. The mode
+    is checked by WorkloadEstimate, after every bin is priced, so with an
+    unknown mode a pricing error comes first.
     """
-    if mode not in ESTIMATE_MODES:
-        raise ValidationError(f"mode must be one of {ESTIMATE_MODES}, got {mode!r}")
     per_bin: list[BinEstimate] = []
     for b, count in workload.sorted_counts():
         rec = lookup(table, backend, device, b, interpolate=interpolate)

@@ -131,19 +131,26 @@ def load_trace(path: str, format: str = "generic-csv", input_column: str = "inpu
     return TraceLoad(RequestColumns(inputs.array(), outputs.array()), malformed)
 
 
-def _token_value(raw, column: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+def _token_count(raw, column: str) -> int:
+    """`raw` as a token count: an int (a bool, a float or a string of
+    digits is not one) in [0, INT64_MAX], as a jsonl member must be."""
+    if type(raw) is not int:
         raise ValidationError(f"column {column!r} is not an integer: {raw!r}")
-    if isinstance(raw, str):
-        try:
-            raw = int(raw.strip())
-        except ValueError:
-            raise ValidationError(f"column {column!r} is not an integer: {raw!r}") from None
     if raw < 0:
         raise ValidationError(f"column {column!r} is negative: {raw}")
     if raw > INT64_MAX:
         raise ValidationError(f"column {column!r} exceeds the int64 range: {raw}")
     return raw
+
+
+def _token_value(cell: str | None, column: str) -> int:
+    """A csv cell as a token count, surrounding whitespace ignored; None
+    stands for a cell the row lacks."""
+    try:
+        value = int(cell.strip())
+    except (AttributeError, ValueError):  # AttributeError: no cell
+        raise ValidationError(f"column {column!r} is not an integer: {cell!r}") from None
+    return _token_count(value, column)
 
 
 def _csv_header(stream: TextIO, path: str, names: tuple[str, str], malformed: list[RowError]):
@@ -348,8 +355,8 @@ def _parse_jsonl_block(names: tuple[str, str], malformed: list[RowError], block:
             for col in names:
                 if col not in obj:
                     raise ValidationError(f"missing member {col!r}")
-            i = _token_value(obj[in_col], in_col)
-            o = _token_value(obj[out_col], out_col)
+            i = _token_count(obj[in_col], in_col)
+            o = _token_count(obj[out_col], out_col)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError and ValidationError are ValueErrors
             malformed.append(RowError(line=line_num, message=str(exc)))
         else:

@@ -1,4 +1,4 @@
-"""Report assembly and serialization.
+"""Report assembly and serialization, and the reader of estimate reports.
 
 One schema_version covers every report kind. json carries full-precision
 joules for machine use; csv is also machine-oriented (comment-prefixed
@@ -15,10 +15,13 @@ from __future__ import annotations
 import json
 import math
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._frozen import frozen
-from .core import J_PER_KWH, Energy, ValidationError, check_value, joules_or_none
+from .core import (INT64_MAX, J_PER_KWH, Energy, ValidationError, check_value, joules_or_none,
+                   open_text)
 from .csvio import format_csv
 from .estimator import WorkloadEstimate
 from .ingest import TraceStats
@@ -72,21 +75,18 @@ class TraceReport:
     output_stats: TraceStats
 
 
-Labeled = Union[WorkloadEstimate, tuple[str, Energy]]
-
-
 def compare(
-    estimates: Sequence[Labeled],
+    estimates: Sequence[Any],
     optimal: Energy,
     reference_label: str,
     dataset: str = "",
 ) -> Comparison:
-    """Rank labeled estimates against the idealized optimum.
+    """Rank estimates of one workload against the idealized optimum.
 
-    Accepts bare (label, Energy) pairs, or WorkloadEstimates and other
-    objects with their `label`, `total`, `mode` and `excluded_requests`
-    attributes, from which the comparison's mode ("mixed" when they differ)
-    and excluded_requests (which must agree) are inferred. Each entry gets
+    Each estimate is a WorkloadEstimate or an estimate report read back by
+    read_estimate: it has a `label`, a `total` Energy, a `mode` and an
+    `excluded_requests` count. The comparison's mode is theirs, or "mixed"
+    when they differ; their excluded_requests must agree. Each entry gets
     its percent overhead above `optimal`; non-reference entries also get
     percent savings relative to the reference entry, positive iff they use
     less energy. A percentage that is not finite, such as savings against a
@@ -97,18 +97,7 @@ def compare(
     if not estimates:
         raise ValidationError("compare needs at least one estimate")
 
-    rows: list[tuple[str, Energy]] = []
-    modes: set[str] = set()
-    excluded: set[int] = set()
-    for item in estimates:
-        if isinstance(item, tuple):
-            label, energy = item
-            rows.append((label, energy))
-        else:
-            rows.append((item.label, item.total))
-            modes.add(item.mode)
-            excluded.add(item.excluded_requests)
-
+    rows = [(e.label, e.total) for e in estimates]
     labels = [label for label, _ in rows]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"duplicate estimate labels: {sorted(labels)}")
@@ -116,10 +105,12 @@ def compare(
         raise ValidationError(
             f"reference label {reference_label!r} not among estimates {sorted(labels)}"
         )
+    excluded = {e.excluded_requests for e in estimates}
     if len(excluded) > 1:
         raise ValidationError(
             "estimates disagree on excluded_requests; they must describe one workload"
         )
+    modes = {e.mode for e in estimates}
 
     reference_j = dict(rows)[reference_label].joules
     entries = []
@@ -144,8 +135,8 @@ def compare(
         baseline=optimal,
         entries=tuple(entries),
         reference_label=reference_label,
-        mode=modes.pop() if len(modes) == 1 else ("mixed" if modes else "n/a"),
-        excluded_requests=excluded.pop() if excluded else 0,
+        mode=modes.pop() if len(modes) == 1 else "mixed",
+        excluded_requests=excluded.pop(),
     )
 
 
@@ -357,6 +348,49 @@ def _estimate(w: WorkloadEstimate, format: str) -> str:
         _md_row(["total", None, str(w.total_requests), None, f"{total_batches:g}",
                  _kwh(w.total.joules), None]),
     ])
+
+
+def read_estimate(path: str) -> SimpleNamespace:
+    """The label, total, mode and excluded_requests of an estimate report,
+    which is what `compare` reads of an estimate. Each must have the json
+    type the report writes it with: a number is never read from a string or
+    a boolean, nor a count from a fraction."""
+    p = Path(path)
+    try:
+        with open_text(p, "estimate file") as stream:
+            payload = json.load(stream)
+    except ValidationError:
+        raise
+    except ValueError as exc:  # not json, or an integer too long for int()
+        raise ValidationError(f"{p}: not valid json ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("kind") != "estimate":
+        raise ValidationError(f"{p}: not an estimate report (kind != 'estimate')")
+    for key, what, valid in _ESTIMATE_FIELDS:
+        if key not in payload:
+            raise ValidationError(f"{p}: malformed estimate report (no {key!r})")
+        if not valid(payload[key]):
+            raise ValidationError(
+                f"{p}: malformed estimate report ({key} must be {what}, got {payload[key]!r})")
+    return SimpleNamespace(label=payload["label"], total=Energy(float(payload["total_j"])),
+                           mode=payload["mode"], excluded_requests=payload["excluded_requests"])
+
+
+def _is_joules(value) -> bool:
+    try:
+        return type(value) in (int, float) and 0 <= float(value) < math.inf
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+# What compare reads of an estimate report: key, what it must be, its check.
+# bool is an int subclass, so types are compared exactly.
+_ESTIMATE_FIELDS = (
+    ("label", "a string", lambda v: type(v) is str),
+    ("total_j", "a finite nonnegative number", _is_joules),
+    ("mode", "a string", lambda v: type(v) is str),
+    ("excluded_requests", "an integer in [0, 2**63 - 1]",
+     lambda v: type(v) is int and 0 <= v <= INT64_MAX),
+)
 
 
 def _baseline(b: BaselineReport, format: str) -> str:

@@ -1,11 +1,12 @@
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tokenwatt
-from tokenwatt import BinGrid, HardwareSpec, ModelConfig
+from tokenwatt import BinGrid, Energy, HardwareSpec, ModelConfig
 
 # Property tests draw the same examples on every run, with no time limit per
 # example, and stay within a few seconds each. Without hypothesis they skip
@@ -46,6 +47,13 @@ def cli_env() -> dict[str, str]:
     root = str(Path(tokenwatt.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (root, inherited))))
+
+
+def estimate_entry(label: str, joules: float) -> SimpleNamespace:
+    """A comparison entry as `read_estimate` returns it for an estimate
+    report of a fractional estimate that excludes no request."""
+    return SimpleNamespace(label=label, total=Energy(joules), mode="fractional",
+                           excluded_requests=0)
 
 
 def token_pairs(columns):

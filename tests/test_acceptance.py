@@ -42,7 +42,8 @@ from tokenwatt import (
     summarize_trace,
     synthesize_table,
 )
-from conftest import A100_CFG, FIXTURE_TABLE, FIXTURE_TRACE, TOY_MODEL_CFG, cli_env
+from conftest import (A100_CFG, FIXTURE_TABLE, FIXTURE_TRACE, TOY_MODEL_CFG, cli_env,
+                      estimate_entry)
 from oracles import brute_force_flops, oracle_stats
 
 A100 = HardwareSpec(name="A100-PCIe", tdp=300.0, peak_flops=309.7e12)
@@ -65,8 +66,8 @@ def _criterion_1():
     for dataset, delta_ref, delta_opt, expected in cases:
         comparison = compare(
             [
-                ("unoptimized", Energy(1.0 + delta_ref / 100.0)),
-                ("optimized", Energy(1.0 + delta_opt / 100.0)),
+                estimate_entry("unoptimized", 1.0 + delta_ref / 100.0),
+                estimate_entry("optimized", 1.0 + delta_opt / 100.0),
             ],
             optimal=Energy(1.0),
             reference_label="unoptimized",

@@ -169,6 +169,9 @@ def test_workload_add(small_grid):
     assert merged.excluded_output == 2
     with pytest.raises(ValidationError):
         a + BinnedWorkload(grid=DEFAULT_GRID)
+    assert a.__add__(1) is NotImplemented
+    with pytest.raises(TypeError):
+        a + 1
 
 
 def test_sorted_counts_drops_zero_bins(small_grid):

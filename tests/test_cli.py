@@ -38,11 +38,14 @@ def test_usage_errors_exit_1(capsys):
     assert "error:" in err
 
 
-def test_data_errors_exit_2(capsys):
+def test_data_errors_exit_2(tmp_path, capsys):
     assert run("stats", "--trace", "/nonexistent.csv") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "not found" in err
+    # an OSError other than a missing file is one too
+    assert run("stats", "--trace", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_stats_json(fixture_paths, capsys):
@@ -505,6 +508,13 @@ def test_synth_table_bad_efficiency(fixture_paths, capsys):
                "--efficiency", "0", "--decode-penalty", "1.0") == 2
 
 
+def test_synth_table_zero_kv_bytes_per_token_is_a_data_error(fixture_paths, capsys):
+    assert run("synth-table", "--model", str(fixture_paths["model"]),
+               "--hw", str(fixture_paths["hw"]), "--efficiency", "0.5",
+               "--decode-penalty", "1.0", "--kv-bytes-per-token", "0") == 2
+    assert _one_error_line(capsys) == "error: kv_bytes_per_token must be positive, got 0\n"
+
+
 @pytest.mark.parametrize("memory", ["inf", "nan"])
 def test_synth_table_non_finite_memory_is_a_data_error(fixture_paths, capsys, memory):
     assert run("synth-table", "--model", str(fixture_paths["model"]),
@@ -707,7 +717,8 @@ def test_interpolating_next_to_a_zero_per_request_energy_is_a_data_error(tmp_pat
     assert "\n128,8,3,1000000,3e-06,0.0,,,measured\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+# 0 and -1 too: compare itself refuses an optimum of 0 J in words that name no flag
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_non_finite_baseline_j_is_a_data_error(fixture_paths, capsys, value):
     d = fixture_paths["dir"]
     assert run("estimate", "--trace", str(fixture_paths["trace"]),
@@ -716,7 +727,7 @@ def test_non_finite_baseline_j_is_a_data_error(fixture_paths, capsys, value):
     assert run("compare", "--estimates", str(d / "vllm.json"), "--baseline-j", value,
                "--reference", "vllm", "--format", "csv") == 2
     assert _one_error_line(capsys) == \
-        f"error: --baseline-j must be finite and nonnegative, got {value}\n"
+        f"error: --baseline-j must be positive and finite, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("command", ["baseline", "synth-table"])

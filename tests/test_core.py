@@ -124,6 +124,9 @@ def test_model_config_validation():
     with pytest.raises(ValidationError):
         # n_heads not divisible by n_kv_heads
         ModelConfig(n_layers=1, d_model=8, n_heads=4, n_kv_heads=3, d_ff=8, vocab_size=10)
+    with pytest.raises(ValidationError, match="n_params must be positive, got 0"):
+        ModelConfig(n_layers=1, d_model=4, n_heads=1, n_kv_heads=1, d_ff=8, vocab_size=10,
+                    n_params=0)
 
 
 def test_derive_param_count_toy(toy_model):
@@ -212,6 +215,12 @@ def test_config_from_file_roundtrip(tmp_path):
     model = ModelConfig.from_file(model_path)
     assert model.n_layers == 2
     assert model.tied_embeddings is True
+    text = model_path.read_text(encoding="utf-8")
+    model_path.write_text(text.replace("= true", "= no"), encoding="utf-8")
+    assert ModelConfig.from_file(model_path).tied_embeddings is False
+    model_path.write_text(text.replace("= true", "= maybe"), encoding="utf-8")
+    with pytest.raises(ValidationError, match="tied_embeddings must be a boolean, got 'maybe'"):
+        ModelConfig.from_file(model_path)
 
 
 def test_config_from_file_rejects_unknown_and_missing_keys(tmp_path):

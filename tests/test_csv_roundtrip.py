@@ -37,6 +37,7 @@ from tokenwatt import (
     write_table,
 )
 from tokenwatt.csvio import read_csv
+from conftest import estimate_entry
 
 # every character but lone surrogates (which UTF-8 cannot encode), with the
 # ones the format treats specially drawn often
@@ -123,7 +124,7 @@ def test_comparison_csv_rows_read_back(labels, dataset, data):
     finite = all(math.isfinite(100.0 * (e - optimal) / optimal)
                  and math.isfinite(100.0 * (1.0 - e / energies[0])) for e in energies)
     try:
-        c = compare(list(zip(labels, map(Energy, energies))), optimal=Energy(optimal),
+        c = compare(list(map(estimate_entry, labels, energies)), optimal=Energy(optimal),
                     reference_label=labels[0], dataset=dataset)
     except ValidationError as exc:
         assert not finite and str(exc).endswith(" is not finite")

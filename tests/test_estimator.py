@@ -12,6 +12,7 @@ from tokenwatt import (
     ModelConfig,
     TableMetadata,
     ValidationError,
+    WorkloadEstimate,
     estimate,
     joules_per_flop,
     request_flops,
@@ -76,8 +77,18 @@ def test_missing_record_names_bin(fixture_workload):
 
 
 def test_unknown_mode_rejected(fixture_workload, fixture_table):
-    with pytest.raises(ValidationError, match="mode"):
+    with pytest.raises(ValidationError, match="mode must be one of"):
         estimate(fixture_workload, fixture_table, "vllm", "A100", mode="optimistic")
+    # the estimate checks its mode once every bin is priced
+    with pytest.raises(ValidationError, match=r"\(1024, 64\)"):
+        estimate(fixture_workload, _table([_rec(256, 8, 4, 2.0)]), "vllm", "A100",
+                 mode="optimistic")
+
+
+def test_negative_excluded_requests_rejected():
+    with pytest.raises(ValidationError, match="excluded_requests must be >= 0"):
+        WorkloadEstimate(per_bin=(), excluded_requests=-1, mode="fractional",
+                         backend="vllm", device="A100", label="vllm")
 
 
 def test_empty_workload_zero_energy(fixture_table):

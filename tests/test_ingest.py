@@ -101,11 +101,14 @@ def test_jsonl_rejects_bool_float_and_missing(tmp_path):
         {"input_tokens": True, "output_tokens": 2},
         {"input_tokens": 3.5, "output_tokens": 2},
         {"output_tokens": 2},
+        {"input_tokens": "12", "output_tokens": 2},
         {"input_tokens": 4, "output_tokens": 2},
     ])
     load = load_trace(src, "jsonl", permissive=True)
     assert token_pairs(load.requests) == [(4, 2)]
-    assert load.malformed_count == 3
+    assert load.malformed_count == 4
+    # a string of digits is as malformed as a float, unlike in a csv cell
+    assert load.malformed[3].message == "column 'input_tokens' is not an integer: '12'"
 
 
 def test_token_count_beyond_int64_is_malformed(tmp_path):

@@ -18,6 +18,7 @@ from tokenwatt import (
     emit_report,
     estimate,
 )
+from conftest import estimate_entry
 
 
 def _estimate_for_report():
@@ -37,7 +38,7 @@ def _estimate_for_report():
 
 def test_compare_orders_entries_by_energy():
     c = compare(
-        [("pytorch", Energy(20.0)), ("vllm", Energy(6.0))],
+        [estimate_entry("pytorch", 20.0), estimate_entry("vllm", 6.0)],
         optimal=Energy(4.0), reference_label="pytorch",
     )
     assert [e.label for e in c.entries] == ["vllm", "pytorch"]
@@ -49,7 +50,7 @@ def test_compare_orders_entries_by_energy():
 
 def test_compare_savings_sign_convention():
     c = compare(
-        [("worse", Energy(30.0)), ("ref", Energy(20.0))],
+        [estimate_entry("worse", 30.0), estimate_entry("ref", 20.0)],
         optimal=Energy(1.0), reference_label="ref",
     )
     worse = next(e for e in c.entries if e.label == "worse")
@@ -58,7 +59,7 @@ def test_compare_savings_sign_convention():
 
 def test_compare_carries_estimate_metadata():
     est = _estimate_for_report()
-    c = compare([est, ("other", Energy(9.0))], optimal=Energy(1.0),
+    c = compare([est, estimate_entry("other", 9.0)], optimal=Energy(1.0),
                 reference_label="vllm", dataset="fixture")
     assert c.mode == "fractional"
     assert c.excluded_requests == 0
@@ -67,18 +68,18 @@ def test_compare_carries_estimate_metadata():
 
 def test_compare_validation():
     with pytest.raises(ValidationError, match="positive"):
-        compare([("a", Energy(1.0))], optimal=Energy(0.0), reference_label="a")
+        compare([estimate_entry("a", 1.0)], optimal=Energy(0.0), reference_label="a")
     with pytest.raises(ValidationError, match="reference"):
-        compare([("a", Energy(1.0))], optimal=Energy(1.0), reference_label="b")
+        compare([estimate_entry("a", 1.0)], optimal=Energy(1.0), reference_label="b")
     with pytest.raises(ValidationError, match="duplicate"):
-        compare([("a", Energy(1.0)), ("a", Energy(2.0))],
+        compare([estimate_entry("a", 1.0), estimate_entry("a", 2.0)],
                 optimal=Energy(1.0), reference_label="a")
     with pytest.raises(ValidationError, match="at least one"):
         compare([], optimal=Energy(1.0), reference_label="a")
 
 
 def test_comparison_json_schema():
-    c = compare([("pytorch", Energy(20.0)), ("vllm", Energy(6.0))],
+    c = compare([estimate_entry("pytorch", 20.0), estimate_entry("vllm", 6.0)],
                 optimal=Energy(4.0), reference_label="pytorch", dataset="d")
     payload = json.loads(emit_report(c, "json"))
     assert list(payload.keys()) == [
@@ -93,7 +94,7 @@ def test_comparison_json_schema():
 
 
 def test_comparison_markdown_two_decimals():
-    c = compare([("pytorch", Energy(20.0)), ("vllm", Energy(6.0))],
+    c = compare([estimate_entry("pytorch", 20.0), estimate_entry("vllm", 6.0)],
                 optimal=Energy(4.0), reference_label="pytorch")
     text = emit_report(c, "markdown-table")
     assert "| vllm |" in text
@@ -102,7 +103,7 @@ def test_comparison_markdown_two_decimals():
 
 
 def test_comparison_csv_full_precision():
-    c = compare([("pytorch", Energy(3.0)), ("vllm", Energy(1.0))],
+    c = compare([estimate_entry("pytorch", 3.0), estimate_entry("vllm", 1.0)],
                 optimal=Energy(1.0), reference_label="pytorch")
     text = emit_report(c, "csv")
     vllm_row = next(l for l in text.splitlines() if l.startswith("vllm"))

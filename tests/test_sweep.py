@@ -74,6 +74,12 @@ def test_plan_validation():
     with pytest.raises(ValidationError, match="pin exactly"):
         SweepPlan(axis="input_length", fixed={"output_length": 64},
                   points=(32,))
+    with pytest.raises(ValidationError, match="fixed values must be positive"):
+        SweepPlan(axis="input_length", fixed={"output_length": 0, "batch_size": 1},
+                  points=(32,))
+    with pytest.raises(ValidationError, match="warmup_batches must be >= 0"):
+        SweepPlan(axis="input_length", fixed={"output_length": 64, "batch_size": 1},
+                  points=(32,), warmup_batches=-1)
 
 
 @pytest.mark.parametrize("points,message", [
